@@ -25,9 +25,10 @@ use cfl_baselines::{Matcher, TurboIso, Vf2};
 use cfl_datasets::cached_synthetic;
 use cfl_graph::{query_set, Graph, GraphDelta, QueryDensity, SyntheticConfig};
 use cfl_match::{
-    count_embeddings, Budget, Cpi, CpiMode, DataGraph, FilterContext, GraphStats, Maintained,
-    MatchConfig, OrderingKind, PruningKind, RefreshKind,
+    count_embeddings, Budget, Cpi, CpiMode, DataGraph, FilterContext, GraphStats, MatchConfig,
+    OrderingKind, PlanCache, PruningKind,
 };
+use std::sync::Arc;
 
 /// The fixed benchmark inputs: one cached synthetic data graph plus dense
 /// (core-heavy) and sparse (leaf-heavy) query sets extracted from it.
@@ -277,10 +278,6 @@ fn merge_trace(acc: &mut cfl_match::TraceReport, t: &cfl_match::TraceReport) {
     a.snte_kills += b.snte_kills;
     a.refine_kills += b.refine_kills;
     a.unreachable_kills += b.unreachable_kills;
-    a.merge_hits += b.merge_hits;
-    a.gallop_hits += b.gallop_hits;
-    a.bitset_hits += b.bitset_hits;
-    a.simd_hits += b.simd_hits;
     a.final_candidates += b.final_candidates;
     a.accounting_exact &= b.accounting_exact;
     acc.cpi.arena_bytes += t.cpi.arena_bytes;
@@ -289,15 +286,10 @@ fn merge_trace(acc: &mut cfl_match::TraceReport, t: &cfl_match::TraceReport) {
     acc.workers.extend(t.workers.iter().cloned());
 }
 
-/// Sorted-list inputs for the kernel microbenchmarks, drawn from the real
-/// adjacency rows of the [`cfl_datasets::kernel_stress_suite`] graphs so
-/// each series exercises the regime its instance was shaped for: hub rows
-/// of the triangle fan (similar lengths → merge / SIMD merge), head-vs-tail
-/// rows of the power-law wedge (skewed lengths → gallop), and circulant
-/// rows against a neighborhood bitset (word-at-a-time kernels).
+/// Inputs for the bitset-kernel microbenchmark: every adjacency row of the
+/// [`cfl_datasets::kernel_stress_suite`]'s dense circulant, probed against
+/// vertex 0's neighborhood set.
 pub struct KernelWorkload {
-    merge_pairs: Vec<(Vec<u32>, Vec<u32>)>,
-    gallop_pairs: Vec<(Vec<u32>, Vec<u32>)>,
     bitset_rows: Vec<Vec<u32>>,
     set: cfl_graph::FixedBitSet,
 }
@@ -306,93 +298,31 @@ impl KernelWorkload {
     /// Builds the microbenchmark inputs at the same scale the adversarial
     /// end-to-end series use (`quick` shrinks every instance).
     pub fn standard(quick: bool) -> Self {
-        let scale = if quick { 1 } else { 4 };
-        let suite = cfl_datasets::kernel_stress_suite(scale);
-        let by_name = |name: &str| -> &Graph {
-            suite.iter().find(|(n, _, _)| *n == name).map_or_else(
-                || unreachable!("suite instance {name} exists"),
-                |(_, _, g)| g,
-            )
-        };
-
-        // Triangle fan: every distinct hub pair (hubs come first in the
-        // builder, so they are the highest-degree vertices).
-        let fan = by_name("tri_fan");
-        let mut hubs: Vec<u32> = fan.vertices().collect();
-        hubs.sort_unstable_by_key(|&v| std::cmp::Reverse(fan.degree(v)));
-        hubs.truncate(16);
-        let mut merge_pairs = Vec::new();
-        for (i, &a) in hubs.iter().enumerate() {
-            for &b in &hubs[i + 1..] {
-                merge_pairs.push((fan.neighbors(a).to_vec(), fan.neighbors(b).to_vec()));
-            }
-        }
-
-        // Power-law wedge: each tail row probed against the longest row.
-        let wedge = by_name("power_law_wedge");
-        let mut probes: Vec<u32> = wedge.vertices().filter(|&v| wedge.degree(v) > 0).collect();
-        probes.sort_unstable_by_key(|&v| std::cmp::Reverse(wedge.degree(v)));
-        let head = wedge.neighbors(probes[0]).to_vec();
-        let gallop_pairs: Vec<(Vec<u32>, Vec<u32>)> = probes
+        let suite = cfl_datasets::kernel_stress_suite(if quick { 1 } else { 4 });
+        let circ = suite
             .iter()
-            .rev()
-            .take(64)
-            .map(|&v| (wedge.neighbors(v).to_vec(), head.clone()))
-            .collect();
-
-        // Dense circulant: every row against vertex 0's neighborhood set.
-        let circ = by_name("dense_circulant");
+            .find(|(n, _, _)| *n == "dense_circulant")
+            .map_or_else(
+                || unreachable!("suite instance dense_circulant exists"),
+                |(_, _, g)| g,
+            );
         let mut set = cfl_graph::FixedBitSet::new(circ.num_vertices());
         set.insert_all(circ.neighbors(0));
-        let bitset_rows: Vec<Vec<u32>> = circ
+        let bitset_rows = circ
             .vertices()
             .map(|v| circ.neighbors(v).to_vec())
             .collect();
-
-        KernelWorkload {
-            merge_pairs,
-            gallop_pairs,
-            bitset_rows,
-            set,
-        }
+        KernelWorkload { bitset_rows, set }
     }
 }
 
-/// Digest of an intersection result, independent of which kernel ran —
-/// the `--check-against` gate compares it across scalar and SIMD runs.
+/// Digest of an intersection result.
 fn digest(acc: u64, out: &[u32]) -> u64 {
     out.iter().fold(
         acc.wrapping_mul(0x100_0000_01b3)
             .wrapping_add(out.len() as u64),
         |h, &x| h.wrapping_mul(0x100_0000_01b3).wrapping_add(u64::from(x)),
     )
-}
-
-/// One pass of the merge-regime microbenchmark through the adaptive
-/// dispatcher (`CFL_KERNELS=scalar` forces the scalar kernel for the
-/// comparison run; the checksum is identical either way).
-pub fn kernel_merge_once(kw: &KernelWorkload) -> u64 {
-    let mut out = Vec::new();
-    let mut acc = 0u64;
-    for (a, b) in &kw.merge_pairs {
-        out.clear();
-        cfl_graph::intersect_into(a, b, &mut out);
-        acc = digest(acc, &out);
-    }
-    acc
-}
-
-/// One pass of the gallop-regime microbenchmark (short rows probed into
-/// the power-law head row).
-pub fn kernel_gallop_once(kw: &KernelWorkload) -> u64 {
-    let mut out = Vec::new();
-    let mut acc = 0u64;
-    for (a, b) in &kw.gallop_pairs {
-        out.clear();
-        cfl_graph::intersect_into(a, b, &mut out);
-        acc = digest(acc, &out);
-    }
-    acc
 }
 
 /// One pass of the word-at-a-time bitset microbenchmark (every circulant
@@ -432,12 +362,12 @@ pub fn session_repeat_once(w: &HotpathWorkload, session: &DataGraph) -> u64 {
 
 /// Deterministic toggle set for the maintenance series: up to `count`
 /// non-edges of `g`, each with at least one endpoint whose label occurs in
-/// `q` (so a refresh can never take the label-disjoint `Unchanged`
-/// shortcut), grown greedily so the whole batch — inserted together and
-/// deleted together — passes `Maintained::refresh`'s retention proof in
-/// both directions. The timed `delta_refilter` walk therefore measures the
-/// incremental fast path itself ([`RefreshKind::Refiltered`] on every
-/// step), while `delta_rebuild` pays a full prepare for the same toggles.
+/// `q` (so the plan cache's label-disjoint shortcut never applies), grown
+/// greedily so the whole batch — inserted together and deleted together —
+/// keeps `q`'s cached plan through [`PlanCache::refresh`] in both
+/// directions. The timed `delta_plan_refresh` walk therefore measures the
+/// retention proof itself (every refresh returns 1), while
+/// `delta_rebuild` pays a full prepare for the same toggles.
 pub fn delta_edges(g: &Graph, q: &Graph, cfg: &MatchConfig, count: usize) -> Vec<(u32, u32)> {
     let q_labels: std::collections::BTreeSet<u32> = q.vertices().map(|v| q.label(v).0).collect();
     let nv = g.num_vertices() as u32;
@@ -464,10 +394,9 @@ pub fn delta_edges(g: &Graph, q: &Graph, cfg: &MatchConfig, count: usize) -> Vec
     // the candidate still retains as one batch (retention of individual
     // toggles does not imply retention of their union — stat changes
     // accumulate). Each probe round inserts then deletes the trial batch,
-    // so the rolling graph always returns to `g`'s structure.
-    let Ok(mut probe) = Maintained::prepare(q, g, cfg) else {
-        return Vec::new();
-    };
+    // so the rolling graph always returns to `g`'s structure; a cached
+    // session run before each delta re-primes a plan the last one dropped.
+    let cache = Arc::new(PlanCache::new(1));
     let mut cur = g.clone();
     let mut accepted: Vec<(u32, u32)> = Vec::new();
     for cand in candidates {
@@ -476,7 +405,7 @@ pub fn delta_edges(g: &Graph, q: &Graph, cfg: &MatchConfig, count: usize) -> Vec
         }
         let mut trial = accepted.clone();
         trial.push(cand);
-        let mut all_refiltered = true;
+        let mut all_retained = true;
         for phase in 0..2u8 {
             let mut delta = GraphDelta::new();
             for &(x, y) in &trial {
@@ -486,16 +415,19 @@ pub fn delta_edges(g: &Graph, q: &Graph, cfg: &MatchConfig, count: usize) -> Vec
                     delta.delete(x, y);
                 }
             }
+            let primed = DataGraph::new(&cur)
+                .with_plan_cache(Arc::clone(&cache))
+                .count_embeddings(q, &cfg.clone().with_budget(Budget::first(1)));
             let Ok(applied) = cur.apply_delta(&delta) else {
-                all_refiltered = false;
+                all_retained = false;
                 break;
             };
-            if !matches!(probe.refresh(&applied), Ok(RefreshKind::Refiltered)) {
-                all_refiltered = false;
+            if primed.is_err() || cache.refresh(&cur, &applied) != 1 {
+                all_retained = false;
             }
             cur = applied.graph;
         }
-        if all_refiltered {
+        if all_retained {
             accepted.push(cand);
         }
     }
@@ -507,7 +439,7 @@ pub fn delta_edges(g: &Graph, q: &Graph, cfg: &MatchConfig, count: usize) -> Vec
 /// delta (CSR merge + stat patching) costs the same no matter how the CPI
 /// is then brought up to date, so the maintenance series keeps it outside
 /// the timed region: the chain is built once here and both the
-/// `delta_refilter` and `delta_rebuild` walks consume it, measuring purely
+/// `delta_plan_refresh` and `delta_rebuild` walks consume it, measuring purely
 /// the per-delta maintenance strategy. The source graph's stat tables are
 /// forced first so every successor carries patched tables.
 pub fn delta_chain(g: &Graph, edges: &[(u32, u32)], rounds: usize) -> Vec<cfl_graph::AppliedDelta> {
@@ -534,35 +466,39 @@ pub fn delta_chain(g: &Graph, edges: &[(u32, u32)], rounds: usize) -> Vec<cfl_gr
     chain
 }
 
-/// One round of the incremental-maintenance series: refreshes the
-/// maintained handle through a pre-applied insert batch and its reverting
-/// delete batch. The folded post-refresh CPI checksums are the identity
-/// witness compared against the `delta_rebuild` baseline; `retained`
-/// counts refreshes that took the [`RefreshKind::Refiltered`] retention
-/// path (the toggle probe guarantees all of them — `run_suite` asserts
-/// it).
-pub fn delta_refresh_round(
-    maintained: &mut Maintained<'_>,
+/// One round of the plan-refresh series: carries `q`'s plan in `cache`
+/// (resident at the epoch `round` starts from) through a pre-applied
+/// insert batch and its reverting delete batch with [`PlanCache::refresh`].
+/// The folded CPI checksums of the carried plan are the identity witness
+/// compared against the `delta_rebuild` baseline; `retained` counts
+/// refreshes that kept the plan (the toggle probe guarantees all of them —
+/// `run_suite` asserts it).
+pub fn delta_plan_refresh_round(
+    cache: &PlanCache,
+    q: &Graph,
+    cfg: &MatchConfig,
+    prev: &Graph,
     round: &[cfl_graph::AppliedDelta],
     retained: &mut usize,
 ) -> u64 {
     let mut acc = 0u64;
+    let mut old = prev;
     for applied in round {
-        match maintained.refresh(applied) {
-            Ok(RefreshKind::Refiltered) => *retained += 1,
-            Ok(_) => {}
-            Err(_) => return 0,
-        }
-        acc = acc
-            .wrapping_mul(0x100_0000_01b3)
-            .wrapping_add(maintained.prepared().cpi.checksum());
+        *retained += cache.refresh(old, applied);
+        let Some(checksum) =
+            cfl_match::oracle::cached_plan_checksum(cache, q, applied.graph.epoch(), cfg)
+        else {
+            return 0;
+        };
+        acc = acc.wrapping_mul(0x100_0000_01b3).wrapping_add(checksum);
+        old = &applied.graph;
     }
     acc
 }
 
 /// The rebuild baseline over the same pre-applied round: a full one-shot
 /// prepare against each successor graph instead of an incremental
-/// refresh. Its checksum fold must equal `delta_refresh_round`'s exactly
+/// refresh. Its checksum fold must equal `delta_plan_refresh_round`'s exactly
 /// — `run_suite` asserts it.
 pub fn delta_rebuild_round(q: &Graph, round: &[cfl_graph::AppliedDelta], cfg: &MatchConfig) -> u64 {
     let mut acc = 0u64;
@@ -749,29 +685,19 @@ pub fn run_suite_with(
         ),
     ];
 
-    // Kernel microbenchmarks: many passes per sample — a single pass over
-    // the pair lists is microseconds, far below timer noise.
+    // Kernel microbenchmark: many passes per sample — a single pass over
+    // the rows is microseconds, far below timer noise.
     let kw = KernelWorkload::standard(quick);
-    let kernel_reps = reps * 3;
     let passes = if quick { 20 } else { 100 };
-    let many = |f: &dyn Fn(&KernelWorkload) -> u64| {
-        let mut acc = 0u64;
-        for _ in 0..passes {
-            acc = acc.wrapping_add(std::hint::black_box(f(&kw)));
-        }
-        acc
-    };
-    series.push((
-        "kernel_merge",
-        measure(kernel_reps, || many(&kernel_merge_once)),
-    ));
-    series.push((
-        "kernel_gallop",
-        measure(kernel_reps, || many(&kernel_gallop_once)),
-    ));
     series.push((
         "kernel_bitset",
-        measure(kernel_reps, || many(&kernel_bitset_once)),
+        measure(reps * 3, || {
+            let mut acc = 0u64;
+            for _ in 0..passes {
+                acc = acc.wrapping_add(std::hint::black_box(kernel_bitset_once(&kw)));
+            }
+            acc
+        }),
     ));
 
     // Plan-cache amortization: the same budget-1 sweep through an uncached
@@ -787,11 +713,11 @@ pub fn run_suite_with(
         measure(reps, || session_repeat_once(&w, &cached_session)),
     ));
 
-    // Incremental CPI maintenance vs rebuild-from-scratch over the same
-    // pre-applied insert-then-delete toggle chain (delta application is
-    // identical work for both strategies and stays untimed). Both series
-    // fold the post-delta CPI checksums, so equality of their checksums
-    // *is* the refilter-equals-rebuild identity.
+    // Plan refresh vs rebuild-from-scratch over the same pre-applied
+    // insert-then-delete toggle chain (delta application is identical work
+    // for both strategies and stays untimed). Both series fold the
+    // post-delta CPI checksums, so equality of their checksums *is* the
+    // carried-plan-equals-rebuild identity.
     let delta_q = &w.dense[0];
     let delta_cfg = MatchConfig::exhaustive().with_build_threads(threads);
     let toggles = delta_edges(&w.g, delta_q, &delta_cfg, 8);
@@ -802,24 +728,35 @@ pub fn run_suite_with(
     // One chain round per measure() call: warm-up plus `reps` samples.
     let chain = delta_chain(&w.g, &toggles, reps + 1);
     assert_eq!(chain.len(), (reps + 1) * 2, "toggle chain failed to apply");
-    let mut maintained = Maintained::prepare(delta_q, &w.g, &delta_cfg)
-        .unwrap_or_else(|e| unreachable!("maintained prepare on the tracked workload: {e:?}"));
+    let cache = Arc::new(PlanCache::new(1));
+    let primed = DataGraph::new(&w.g)
+        .with_plan_cache(Arc::clone(&cache))
+        .count_embeddings(delta_q, &delta_cfg.clone().with_budget(Budget::first(1)));
+    assert!(
+        primed.is_ok(),
+        "plan prepare on the tracked workload failed"
+    );
     let mut round = 0usize;
     let mut retained = 0usize;
-    let refilter = measure(reps, || {
-        let r = delta_refresh_round(
-            &mut maintained,
+    let plan_refresh = measure(reps, || {
+        // Each round starts from the graph the previous one ended on.
+        let prev = if round == 0 {
+            &w.g
+        } else {
+            &chain[round * 2 - 1].graph
+        };
+        let r = delta_plan_refresh_round(
+            &cache,
+            delta_q,
+            &delta_cfg,
+            prev,
             &chain[round * 2..round * 2 + 2],
             &mut retained,
         );
         round += 1;
         r
     });
-    assert_eq!(
-        retained,
-        chain.len(),
-        "a timed refresh fell off the retention fast path"
-    );
+    assert_eq!(retained, chain.len(), "a timed refresh dropped the plan");
     let mut round = 0usize;
     let rebuild = measure(reps, || {
         let r = delta_rebuild_round(delta_q, &chain[round * 2..round * 2 + 2], &delta_cfg);
@@ -827,10 +764,10 @@ pub fn run_suite_with(
         r
     });
     assert_eq!(
-        refilter.checksum, rebuild.checksum,
-        "incrementally refreshed CPI diverged from the full rebuild"
+        plan_refresh.checksum, rebuild.checksum,
+        "the refreshed plan's CPI diverged from the full rebuild"
     );
-    series.push(("delta_refilter", refilter));
+    series.push(("delta_plan_refresh", plan_refresh));
     series.push(("delta_rebuild", rebuild));
 
     // Adversarial end-to-end sweep (same scale as the kernel inputs).

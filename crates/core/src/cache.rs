@@ -20,9 +20,13 @@
 //! excluded from the signature because they don't affect preparation).
 //!
 //! Eviction is LRU with a bounded entry count. Counters (lookups, hits,
-//! misses, evictions) are always-on atomics surfaced through
+//! misses, evictions, refreshes) are always-on atomics surfaced through
 //! [`PlanCache::snapshot`]; lookups = hits + misses is an accounting
 //! identity `cfl-verify` checks.
+//!
+//! Plans outlive a delta only through [`PlanCache::refresh`], which keeps
+//! an entry when [`plan_survives_delta`] proves its CPI bit-identical to a
+//! cold rebuild against the successor graph and drops it otherwise.
 
 use cfl_graph::{canonical_query, AppliedDelta, CanonicalQuery, Graph, VertexId};
 
@@ -182,6 +186,21 @@ impl PlanCache {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Position of the entry serving `canon` at `epoch` under `sig`.
+    fn position(
+        entries: &[Entry],
+        epoch: u64,
+        sig: &ConfigSig,
+        canon: &CanonicalQuery,
+    ) -> Option<usize> {
+        entries.iter().position(|e| {
+            e.epoch == epoch
+                && e.sig == *sig
+                && e.canon.fingerprint == canon.fingerprint
+                && e.canon.same_concrete_form(canon)
+        })
+    }
+
     /// Canonicalizes `q` and consults the cache. Returns the caller's
     /// canonicalization (for a later [`insert`](Self::insert)) and the
     /// stored plan on a hit. Every call counts as one lookup; a `None`
@@ -200,13 +219,7 @@ impl PlanCache {
         };
         let sig = ConfigSig::of(config);
         let mut entries = self.lock();
-        let found = entries.iter().position(|e| {
-            e.epoch == epoch
-                && e.sig == sig
-                && e.canon.fingerprint == canon.fingerprint
-                && e.canon.same_concrete_form(&canon)
-        });
-        match found {
+        match Self::position(&entries, epoch, &sig, &canon) {
             Some(i) => {
                 self.hits.fetch_add(1, Ordering::AcqRel);
                 // Refresh recency: move to the back.
@@ -233,12 +246,7 @@ impl PlanCache {
     ) {
         let sig = ConfigSig::of(config);
         let mut entries = self.lock();
-        if let Some(i) = entries.iter().position(|e| {
-            e.epoch == epoch
-                && e.sig == sig
-                && e.canon.fingerprint == canon.fingerprint
-                && e.canon.same_concrete_form(&canon)
-        }) {
+        if let Some(i) = Self::position(&entries, epoch, &sig, &canon) {
             entries.remove(i);
         } else if entries.len() >= self.capacity {
             entries.remove(0);
@@ -254,16 +262,18 @@ impl PlanCache {
 
     /// Carries resident plans across a delta instead of letting the epoch
     /// bump orphan them. For each entry keyed to the pre-delta epoch the
-    /// cache replays the [`Maintained`](crate::refresh::Maintained)
-    /// retention proof — no CandVerify verdict flips on the dirty
-    /// frontier, no delta edge bridges verify-passing endpoints across a
-    /// query edge, root selection stable — and on success stamps the entry
-    /// with the new epoch in place (`Arc`-shared arenas untouched), so the
-    /// next lookup against the successor graph hits without a cold
-    /// prepare. Entries the proof cannot cover are dropped (not counted as
-    /// evictions); entries at other epochs are left alone. Returns the
-    /// number of plans refreshed; the cumulative count is surfaced as
-    /// [`PlanCacheStats::refreshes`].
+    /// cache runs the retention proof ([`plan_survives_delta`]) and on
+    /// success stamps the entry with the new epoch in place (`Arc`-shared
+    /// arenas untouched), so the next lookup against the successor graph
+    /// hits without a cold prepare. Entries the proof cannot cover are
+    /// dropped (not counted as evictions); entries at other epochs are
+    /// left alone. Returns the number of plans refreshed; the cumulative
+    /// count is surfaced as [`PlanCacheStats::refreshes`].
+    ///
+    /// A dropped plan is not rebuilt here: the serving engine calls this
+    /// while holding its graph registry lock, which every submission also
+    /// takes, so a rebuild would run cold prepares while all admissions
+    /// wait. The next lookup misses instead and prepares on a worker.
     ///
     /// `old` must be the graph the delta was applied to (the retention
     /// proof evaluates the previous epoch's statistics through it); a
@@ -295,14 +305,49 @@ impl PlanCache {
     }
 }
 
-/// The per-entry retention proof behind [`PlanCache::refresh`] — the
-/// [`Maintained`](crate::refresh::Maintained) proof replayed against a
-/// cached plan's own query and config signature (see `refresh.rs` for the
-/// soundness argument). The **Unchanged** short-circuit applies when the
-/// dirty frontier carries no query label; otherwise the three-part
-/// retention proof runs, which is only sound with the NLF filter on
-/// (CandVerify must subsume the degree pre-filter) and never with the
-/// label-pair blooms on (their 2-hop reach exceeds the frontier).
+/// The retention proof behind [`PlanCache::refresh`]: whether `plan`'s CPI
+/// is bit-identical to a cold rebuild of its query, under `sig`, against
+/// `applied.graph`.
+///
+/// CandVerify is a pure function of a data vertex's statistics (MND, NLF
+/// signature) and a query vertex's statistics, and the dirty frontier
+/// ([`AppliedDelta::dirty`]: the delta's endpoints and their neighbors)
+/// is exactly the set of data vertices whose statistics a delta may
+/// change. Two proofs follow from that.
+///
+/// **Label-disjoint frontier.** Candidates all carry query labels, so if
+/// no dirty vertex does, no candidate's statistics changed *and* no edge
+/// incident to a candidate changed (the delta's endpoints are in the
+/// frontier). Every CPI arena is untouched, whatever the filters.
+///
+/// **Retention.** With the NLF filter on, a CandVerify pass implies the
+/// degree pre-filter passes too (per-label neighbor counts dominate, and
+/// they sum to the degree), so every candidate set is a closed-form
+/// function of verdicts and candidate-adjacent edges: `C(u) = {v : label ∧
+/// verify(u, v) ∧ adjacency constraints against the other C-sets}`. The
+/// cached CPI then equals a rebuild when
+///
+/// 1. **no verdict flipped** — for every dirty vertex `v` carrying a query
+///    label and every label-matching query vertex `u`, the verdict under
+///    `old`'s statistics equals the verdict under the successor's (both
+///    are computed from stat tables, so pairs the cached build never
+///    consulted are evaluated too, not guessed at);
+/// 2. **no delta edge bridges candidates** — for every inserted or deleted
+///    edge `(x, y)` and every query edge `(u, w)`, not both `verify(u, x)`
+///    and `verify(w, y)` hold (in either orientation). Candidate
+///    membership implies verify-pass, so no changed edge can enter or
+///    leave a CPI adjacency row, a same-level S-NTE test, or a seeding /
+///    neighborhood-mask scan *between surviving candidates*; and
+/// 3. **the root is stable** — root selection replayed over the new
+///    statistics picks the same vertex. Root scoring reads label+degree
+///    counts, which a delta can shift even when no verdict flips, so this
+///    is checked by replay rather than implied.
+///
+/// Neither proof holds with the label-pair blooms on: they summarize a
+/// 2-hop neighborhood, so a delta's statistics damage reaches beyond the
+/// dirty frontier. Without the NLF filter only the label-disjoint proof
+/// applies. The `cache` tests and the `delta-identity` fuzz target check
+/// the identity end to end via [`Cpi::checksum`].
 fn plan_survives_delta(
     plan: &CachedPlan,
     sig: &ConfigSig,
@@ -372,6 +417,22 @@ fn plan_survives_delta(
     let eligible = root_eligible(q, sig.decomposition);
     let (root, _) = select_root_with_candidates(&ctx, &eligible);
     root == plan.cpi.root()
+}
+
+/// The plan cached for `q` at `epoch` under `config`'s signature, without
+/// counting a lookup or touching recency — how differential harnesses
+/// inspect a plan carried across deltas.
+#[cfg(any(test, feature = "oracle"))]
+pub(crate) fn peek(
+    cache: &PlanCache,
+    q: &Graph,
+    epoch: u64,
+    config: &MatchConfig,
+) -> Option<Arc<CachedPlan>> {
+    let canon = canonical_query(q)?;
+    let entries = cache.lock();
+    PlanCache::position(&entries, epoch, &ConfigSig::of(config), &canon)
+        .map(|i| Arc::clone(&entries[i].plan))
 }
 
 /// Builds the cacheable snapshot of a preparation: `Arc`-shares the CPI,
@@ -530,6 +591,375 @@ mod tests {
         cache.insert(g1.epoch(), &config, canon, plan);
         assert_eq!(cache.refresh(&g0, &applied2), 0);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Four copies of the 8-vertex motif — two label-{0,1,2} triangles
+    /// bridged by label-3 vertices — plus an isolated label-3 path
+    /// 32-33-34 whose dirty frontier never reaches a query label.
+    fn motif_graph() -> Graph {
+        const LABELS: [u32; 8] = [0, 1, 2, 0, 1, 2, 3, 3];
+        const EDGES: [(u32, u32); 10] = [
+            (0, 1),
+            (1, 2),
+            (2, 0),
+            (3, 4),
+            (4, 5),
+            (5, 3),
+            (0, 6),
+            (6, 3),
+            (2, 7),
+            (7, 5),
+        ];
+        let mut labels = Vec::new();
+        let mut edges = Vec::new();
+        for c in 0..4u32 {
+            labels.extend_from_slice(&LABELS);
+            edges.extend(EDGES.iter().map(|&(u, v)| (c * 8 + u, c * 8 + v)));
+        }
+        labels.extend_from_slice(&[3, 3, 3]);
+        edges.extend_from_slice(&[(32, 33), (33, 34)]);
+        graph_from_edges(&labels, &edges).unwrap()
+    }
+
+    fn triangle_query() -> Graph {
+        graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2), (2, 0)]).unwrap()
+    }
+
+    /// A cache holding `q`'s plan prepared against `g` under `config`,
+    /// and that plan's arenas.
+    fn cache_with(q: &Graph, g: &Graph, config: &MatchConfig) -> (PlanCache, Arc<Cpi>) {
+        let cache = PlanCache::new(8);
+        let (canon, plan) = entry_for(q, g, config);
+        let arenas = Arc::clone(&plan.cpi);
+        cache.insert(g.epoch(), config, canon, plan);
+        (cache, arenas)
+    }
+
+    /// Applies a one-edge delta (`insert` or delete of `(a, b)`) to `g`.
+    fn toggle(g: &Graph, insert: bool, a: u32, b: u32) -> AppliedDelta {
+        let mut d = cfl_graph::GraphDelta::new();
+        if insert {
+            d.insert(a, b);
+        } else {
+            d.delete(a, b);
+        }
+        g.apply_delta(&d).unwrap()
+    }
+
+    /// The plan resident for `q` at `g`'s epoch is exact: its CPI checksum
+    /// equals a cold prepare against `g`, and a cached session's
+    /// embeddings equal a one-shot run.
+    #[track_caller]
+    fn assert_resident_and_exact(
+        cache: &Arc<PlanCache>,
+        q: &Graph,
+        g: &Graph,
+        config: &MatchConfig,
+    ) {
+        let plan = peek(cache, q, g.epoch(), config).expect("plan resident at the new epoch");
+        assert_eq!(
+            plan.cpi.checksum(),
+            crate::exec::prepare(q, g, config).unwrap().cpi.checksum(),
+            "retained plan diverged from a cold rebuild"
+        );
+        let hits = cache.snapshot().hits;
+        let session = crate::session::DataGraph::new(g).with_plan_cache(Arc::clone(cache));
+        let (mut a, _) = session.collect_embeddings(q, config).unwrap();
+        assert_eq!(
+            cache.snapshot().hits,
+            hits + 1,
+            "the retained plan served the run"
+        );
+        let (mut b, _) = crate::exec::collect_embeddings(q, g, config).unwrap();
+        a.sort_by(|x, y| x.mapping.cmp(&y.mapping));
+        b.sort_by(|x, y| x.mapping.cmp(&y.mapping));
+        assert_eq!(
+            a.iter().map(|e| &e.mapping).collect::<Vec<_>>(),
+            b.iter().map(|e| &e.mapping).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn refresh_retains_plan_over_label_disjoint_frontier() {
+        let g0 = motif_graph();
+        let q = triangle_query();
+        let config = MatchConfig::exhaustive();
+        let (cache, arenas) = cache_with(&q, &g0, &config);
+        let cache = Arc::new(cache);
+        // The pocket 32-33-34 is all label 3 (unused by the query) and
+        // isolated from the motifs, so the dirty frontier of an insert
+        // inside it never reaches a query-labeled vertex.
+        let applied = toggle(&g0, true, 32, 34);
+        assert!(applied.dirty.iter().all(|&v| applied.graph.label(v).0 == 3));
+        assert_eq!(cache.refresh(&g0, &applied), 1);
+        let plan = peek(&cache, &q, applied.graph.epoch(), &config).unwrap();
+        assert!(
+            Arc::ptr_eq(&plan.cpi, &arenas),
+            "same arenas, not a rebuild"
+        );
+        assert_resident_and_exact(&cache, &q, &applied.graph, &config);
+    }
+
+    #[test]
+    fn refresh_retains_plan_when_proof_holds() {
+        let g0 = motif_graph();
+        let q = triangle_query();
+        let config = MatchConfig::exhaustive();
+        let (cache, arenas) = cache_with(&q, &g0, &config);
+        let cache = Arc::new(cache);
+        // An edge between the two label-3 bridges of the first motif. Its
+        // frontier reaches query-labeled vertices, but no verdict can flip
+        // (their neighbor sets are unchanged and MND only grows) and its
+        // endpoints carry a non-query label, so it bridges no candidates.
+        let applied = toggle(&g0, true, 6, 7);
+        assert!(applied.dirty.iter().any(|&v| applied.graph.label(v).0 != 3));
+        assert_eq!(cache.refresh(&g0, &applied), 1);
+        assert_resident_and_exact(&cache, &q, &applied.graph, &config);
+        // Deleting it again retains as well and round-trips exactly.
+        let g1 = applied.graph;
+        let applied = toggle(&g1, false, 6, 7);
+        assert_eq!(cache.refresh(&g1, &applied), 1);
+        let plan = peek(&cache, &q, applied.graph.epoch(), &config).unwrap();
+        assert!(Arc::ptr_eq(&plan.cpi, &arenas));
+        assert_eq!(
+            plan.cpi.checksum(),
+            crate::exec::prepare(&q, &g0, &config)
+                .unwrap()
+                .cpi
+                .checksum()
+        );
+        assert_resident_and_exact(&cache, &q, &applied.graph, &config);
+    }
+
+    #[test]
+    fn refresh_drops_plan_on_bridging_edge() {
+        let g0 = motif_graph();
+        let q = triangle_query();
+        let config = MatchConfig::exhaustive();
+        let (cache, _) = cache_with(&q, &g0, &config);
+        // An edge between the two triangles joins verify-passing
+        // endpoints across a query edge: the CPI's adjacency genuinely
+        // changes, so the plan must go.
+        let applied = toggle(&g0, true, 1, 3);
+        assert_ne!(
+            crate::exec::prepare(&q, &g0, &config)
+                .unwrap()
+                .cpi
+                .checksum(),
+            crate::exec::prepare(&q, &applied.graph, &config)
+                .unwrap()
+                .cpi
+                .checksum()
+        );
+        assert_eq!(cache.refresh(&g0, &applied), 0);
+        assert!(cache.is_empty());
+        assert_eq!(cache.snapshot().evictions, 0, "drops are not evictions");
+    }
+
+    #[test]
+    fn refresh_drops_plan_on_verdict_flip() {
+        let g0 = motif_graph();
+        let q = triangle_query();
+        let config = MatchConfig::exhaustive();
+        let (cache, _) = cache_with(&q, &g0, &config);
+        // Deleting triangle edge 0-1 costs vertex 0 its only label-1
+        // neighbor: its NLF verdict for query vertex 0 flips to a fail.
+        let applied = toggle(&g0, false, 0, 1);
+        let g = &applied.graph;
+        let (qs, old, new) = (
+            GraphStats::build(&q),
+            GraphStats::build(&g0),
+            GraphStats::build(g),
+        );
+        assert!(cand_verify_stats(&qs, &old, config.filters, 0, 0).passed);
+        assert!(!cand_verify_stats(&qs, &new, config.filters, 0, 0).passed);
+        // Neither endpoint passes afterwards, so the edge bridges nothing:
+        // the flip alone must drop the plan.
+        assert!(!cand_verify_stats(&qs, &new, config.filters, 1, 1).passed);
+        assert_eq!(cache.refresh(&g0, &applied), 0);
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn refresh_drops_plan_on_root_change() {
+        // Star query: center 0 (label 0) with leaves of labels 1, 2, 3. It
+        // has no 2-core, so every vertex is eligible as root.
+        let q = graph_from_edges(&[0, 1, 2, 3], &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        // Data: two copies of the star (0..8), plus five label-0 decoys
+        // 8..13, each tied to all three label-9 vertices 13..16. The
+        // decoys have the center's degree but fail its NLF test, so they
+        // inflate its light candidate count (7/3 against every leaf's
+        // 2/1) and keep the center out of root selection's top three.
+        let mut labels = vec![0, 1, 2, 3, 0, 1, 2, 3];
+        let mut edges = vec![(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)];
+        labels.extend_from_slice(&[0; 5]);
+        labels.extend_from_slice(&[9; 3]);
+        for decoy in 8..13 {
+            for hub in 13..16 {
+                edges.push((decoy, hub));
+            }
+        }
+        let g0 = graph_from_edges(&labels, &edges).unwrap();
+        let config = MatchConfig::exhaustive();
+        let (cache, _) = cache_with(&q, &g0, &config);
+        let root_before = crate::exec::prepare(&q, &g0, &config).unwrap().cpi.root();
+
+        // Dropping one hub edge per decoy takes them below the center's
+        // degree: its light count falls to 2/3, it enters the top three
+        // and wins. No verdict flips (the decoys fail NLF either way) and
+        // the deleted edges touch a non-query label, so only the root
+        // replay can catch this.
+        let mut d = cfl_graph::GraphDelta::new();
+        for decoy in 8..13 {
+            d.delete(decoy, 13);
+        }
+        let applied = g0.apply_delta(&d).unwrap();
+        let root_after = crate::exec::prepare(&q, &applied.graph, &config)
+            .unwrap()
+            .cpi
+            .root();
+        assert_ne!(root_before, root_after);
+        assert_eq!(cache.refresh(&g0, &applied), 0);
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn refresh_drops_plan_under_label_pair_filter() {
+        // With the 2-hop label-pair blooms on, the dirty frontier no
+        // longer bounds the statistics damage, so even the delta the
+        // retention proof keeps (see `refresh_retains_plan_when_proof_holds`)
+        // and a label-disjoint one must drop the plan.
+        let g0 = motif_graph();
+        let q = triangle_query();
+        let config = MatchConfig::exhaustive().with_filters(FilterOptions {
+            use_label_pair: true,
+            ..Default::default()
+        });
+        for (a, b) in [(6, 7), (32, 34)] {
+            let (cache, _) = cache_with(&q, &g0, &config);
+            assert_eq!(cache.refresh(&g0, &toggle(&g0, true, a, b)), 0);
+            assert!(cache.is_empty());
+        }
+    }
+
+    #[test]
+    fn refresh_without_nlf_drops_unless_label_disjoint() {
+        // Without the NLF filter CandVerify no longer subsumes the degree
+        // pre-filter, so the retention proof is unsound and the (6, 7)
+        // insert it would keep must drop the plan; the label-disjoint
+        // proof needs no filter and still holds.
+        let g0 = motif_graph();
+        let q = triangle_query();
+        let config = MatchConfig::exhaustive().with_filters(FilterOptions {
+            use_nlf: false,
+            ..Default::default()
+        });
+        let (cache, _) = cache_with(&q, &g0, &config);
+        assert_eq!(cache.refresh(&g0, &toggle(&g0, true, 6, 7)), 0);
+        assert!(cache.is_empty());
+
+        let (cache, _) = cache_with(&q, &g0, &config);
+        let cache = Arc::new(cache);
+        let applied = toggle(&g0, true, 32, 34);
+        assert_eq!(cache.refresh(&g0, &applied), 1);
+        assert_resident_and_exact(&cache, &q, &applied.graph, &config);
+    }
+
+    #[test]
+    fn refresh_is_noop_across_epoch_gap() {
+        let g0 = motif_graph();
+        let q = triangle_query();
+        let config = MatchConfig::exhaustive();
+        let (cache, _) = cache_with(&q, &g0, &config);
+        // Two deltas, but the cache only sees the second against the
+        // original graph: the frontier no longer bounds the damage, so
+        // nothing is provable and the entry is left alone.
+        let a1 = toggle(&g0, true, 1, 3);
+        let a2 = toggle(&a1.graph, true, 6, 7);
+        assert_eq!(cache.refresh(&g0, &a2), 0);
+        // The right predecessor, but the entry sits at an older epoch.
+        assert_eq!(cache.refresh(&a1.graph, &a2), 0);
+        assert_eq!(cache.len(), 1);
+        assert!(peek(&cache, &q, g0.epoch(), &config).is_some());
+        assert_eq!(cache.snapshot().refreshes, 0);
+    }
+
+    #[test]
+    fn refresh_is_exact_across_configs() {
+        let g0 = motif_graph();
+        let q = triangle_query();
+        for config in [
+            MatchConfig::exhaustive(),
+            MatchConfig::variant_cf_match().with_budget(crate::config::Budget::UNLIMITED),
+            MatchConfig::variant_topdown_cpi().with_budget(crate::config::Budget::UNLIMITED),
+        ] {
+            for (insert, a, b) in [(true, 6, 7), (true, 32, 34), (true, 1, 3)] {
+                let (cache, _) = cache_with(&q, &g0, &config);
+                let cache = Arc::new(cache);
+                let applied = toggle(&g0, insert, a, b);
+                if cache.refresh(&g0, &applied) == 1 {
+                    assert_resident_and_exact(&cache, &q, &applied.graph, &config);
+                } else {
+                    assert!(cache.is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn successive_refreshes_keep_retained_plans_exact() {
+        // A walk of single-edge deltas through a cached session: after
+        // each one a retained plan must be exact, and a dropped one is
+        // re-prepared by the next query at the new epoch.
+        let q = triangle_query();
+        let config = MatchConfig::exhaustive();
+        let cache = Arc::new(PlanCache::new(8));
+        let mut g = motif_graph();
+        let steps: &[(bool, u32, u32)] = &[
+            (true, 6, 7),
+            (true, 1, 3),
+            (true, 0, 4),
+            (false, 0, 1),
+            (true, 0, 1),
+            (false, 6, 7),
+            (false, 1, 3),
+            (true, 1, 7),
+            (false, 2, 7),
+            (true, 32, 34),
+        ];
+        let (mut retained, mut dropped) = (0, 0);
+        for &(insert, a, b) in steps {
+            let _ = crate::session::DataGraph::new(&g)
+                .with_plan_cache(Arc::clone(&cache))
+                .count_embeddings(&q, &config)
+                .unwrap();
+            let applied = toggle(&g, insert, a, b);
+            if cache.refresh(&g, &applied) == 1 {
+                retained += 1;
+                assert_resident_and_exact(&cache, &q, &applied.graph, &config);
+            } else {
+                dropped += 1;
+                assert!(peek(&cache, &q, applied.graph.epoch(), &config).is_none());
+            }
+            g = applied.graph;
+        }
+        assert!(retained > 0 && dropped > 0, "the walk takes both paths");
+    }
+
+    #[test]
+    fn empty_candidate_plans_survive_refresh() {
+        // Query label 9 is absent from the data graph: preparation proves
+        // emptiness, every frontier is label-disjoint from the query, and
+        // the carried plan stays provably empty.
+        let g0 = motif_graph();
+        let q = graph_from_edges(&[9, 9], &[(0, 1)]).unwrap();
+        let config = MatchConfig::exhaustive();
+        let (cache, arenas) = cache_with(&q, &g0, &config);
+        assert!(arenas.has_empty_candidate_set());
+        let cache = Arc::new(cache);
+        let applied = toggle(&g0, true, 1, 3);
+        assert_eq!(cache.refresh(&g0, &applied), 1);
+        assert_resident_and_exact(&cache, &q, &applied.graph, &config);
     }
 
     #[test]

@@ -142,7 +142,6 @@ fn top_down_seeded_inner(
 /// the label/degree filter, and CandVerify. Returns a strictly ascending
 /// list.
 fn generate_candidates(ctx: &FilterContext<'_>, s: &CpiBuilder, u: VertexId) -> Vec<VertexId> {
-    ctx.reset_kernel_tally();
     let q = ctx.q;
     let g = ctx.g;
     let lev = s.tree.level(u);
@@ -205,7 +204,6 @@ fn generate_candidates(ctx: &FilterContext<'_>, s: &CpiBuilder, u: VertexId) -> 
     // run on vertices that already satisfy every adjacency constraint.
     ctx.retain_verified(&mut list, u);
     list.sort_unstable();
-    ctx.rec_kernel_tally();
     list
 }
 
@@ -225,7 +223,6 @@ fn same_level_prune(ctx: &FilterContext<'_>, s: &mut CpiBuilder, vlev: &[VertexI
     if !has_snte {
         return;
     }
-    ctx.reset_kernel_tally();
     let adj = &ctx.g_stats.label_adj;
     with_scratch(ctx.g.num_vertices(), |scr| {
         // Pass 0 walks forward constraining against earlier same-level
@@ -261,7 +258,6 @@ fn same_level_prune(ctx: &FilterContext<'_>, s: &mut CpiBuilder, vlev: &[VertexI
             }
         }
     });
-    ctx.rec_kernel_tally();
 }
 
 /// Phase 3 task: the adjacency rows of `u` along its tree edge — for each
@@ -272,7 +268,6 @@ fn same_level_prune(ctx: &FilterContext<'_>, s: &mut CpiBuilder, vlev: &[VertexI
 /// vertices labeled `l_q(u)`. Rows inherit the CSR slices' ascending
 /// order.
 fn build_rows(ctx: &FilterContext<'_>, s: &CpiBuilder, u: VertexId) -> FlatRows {
-    ctx.reset_kernel_tally();
     let g = ctx.g;
     let ui = u as usize;
     let Some(p) = s.tree.parent(u) else {
@@ -295,7 +290,6 @@ fn build_rows(ctx: &FilterContext<'_>, s: &CpiBuilder, u: VertexId) -> FlatRows 
         // The mask holds exactly C(u): restore it by key, not by memset.
         scr.mask.remove_all(&s.candidates[ui]);
     });
-    ctx.rec_kernel_tally();
     rows
 }
 

@@ -109,13 +109,6 @@ impl<'a, 's, O: OrderingStrategy, P: PruningStrategy> Enumerator<'a, 's, O, P> {
             .iter()
             .map(|&src| FixedBitSet::new(if src { g.num_vertices() } else { 0 }))
             .collect();
-        // Discard kernel-tally residue left on this (possibly reused pool)
-        // thread by earlier untraced work, so `take_trace` attributes
-        // dispatch counts to this enumeration only.
-        #[cfg(feature = "trace")]
-        {
-            let _ = cfl_graph::intersect::tally::take();
-        }
         Enumerator {
             q,
             g,
@@ -438,17 +431,10 @@ impl<'a, 's, O: OrderingStrategy, P: PruningStrategy> Enumerator<'a, 's, O, P> {
         self.plan
     }
 
-    /// Drains this enumerator's counters into a per-worker trace record,
-    /// harvesting the thread's kernel-dispatch tally (the intersection
-    /// kernels this worker ran since construction) along the way.
+    /// Drains this enumerator's counters into a per-worker trace record.
     #[cfg(feature = "trace")]
     pub(crate) fn take_trace(&mut self) -> cfl_trace::WorkerTrace {
-        let tally = cfl_graph::intersect::tally::take();
         let mut counters = std::mem::take(&mut self.tr);
-        counters.merge_hits += tally.merge;
-        counters.gallop_hits += tally.gallop;
-        counters.bitset_hits += tally.bitset;
-        counters.simd_hits += tally.simd;
         counters.backjumps += self.pruning.backjumps();
         cfl_trace::WorkerTrace {
             embeddings: self.emitted,

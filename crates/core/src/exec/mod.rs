@@ -17,7 +17,7 @@ use crate::config::{DecompositionMode, MatchConfig};
 use crate::cpi::Cpi;
 use crate::decompose::CflDecomposition;
 use crate::error::Error;
-use crate::filters::{FilterContext, GraphStats, VerdictCache};
+use crate::filters::{FilterContext, GraphStats};
 use crate::order::{compute_order_with, OrderPlan};
 use crate::result::{Embedding, MatchReport, MatchStats};
 use crate::root::select_root_with_candidates;
@@ -98,28 +98,10 @@ pub fn prepare(q: &Graph, g: &Graph, config: &MatchConfig) -> Result<Prepared, E
     prepare_with(q, g, &g_stats, config)
 }
 
-/// [`prepare`] against prebuilt data-side statistics — the single
-/// preparation pipeline shared by the one-shot API and
-/// [`DataGraph`](crate::session::DataGraph) sessions (so instrumentation
-/// and validation hooks exist exactly once).
-pub(crate) fn prepare_with(
-    q: &Graph,
-    g: &Graph,
-    g_stats: &GraphStats,
-    config: &MatchConfig,
-) -> Result<Prepared, Error> {
-    prepare_with_verdicts(q, g, g_stats, config, None)
-}
-
-/// [`prepare_with`] with an optional memoized CandVerify cache attached —
-/// the entry point incremental refresh ([`crate::refresh`]) uses so a
-/// rebuild after a [`GraphDelta`](cfl_graph::GraphDelta) replays stored
-/// filter verdicts instead of recomputing them. With `verdicts: None` this
-/// *is* `prepare_with`.
 /// The root-selection candidate pool (§A.6): the query's 2-core when it is
 /// nonempty and decomposition is enabled, every vertex otherwise. Factored
-/// out so incremental refresh ([`crate::refresh`]) replays root selection
-/// over exactly the pool `prepare` would use.
+/// out so [`PlanCache::refresh`](crate::PlanCache::refresh) replays root
+/// selection over exactly the pool `prepare` would use.
 pub(crate) fn root_eligible(q: &Graph, mode: DecompositionMode) -> Vec<VertexId> {
     let core_bitmap = cfl_graph::two_core(q);
     if core_bitmap.iter().any(|&b| b) && mode != DecompositionMode::None {
@@ -131,12 +113,15 @@ pub(crate) fn root_eligible(q: &Graph, mode: DecompositionMode) -> Vec<VertexId>
     }
 }
 
-pub(crate) fn prepare_with_verdicts(
+/// [`prepare`] against prebuilt data-side statistics — the single
+/// preparation pipeline shared by the one-shot API and
+/// [`DataGraph`](crate::session::DataGraph) sessions (so instrumentation
+/// and validation hooks exist exactly once).
+pub(crate) fn prepare_with(
     q: &Graph,
     g: &Graph,
     g_stats: &GraphStats,
     config: &MatchConfig,
-    verdicts: Option<&VerdictCache>,
 ) -> Result<Prepared, Error> {
     if q.num_vertices() == 0 {
         return Err(Error::EmptyQuery);
@@ -158,10 +143,6 @@ pub(crate) fn prepare_with_verdicts(
     let build_span = cfl_trace::span::enter(cfl_trace::span::Phase::Build);
     let q_stats = GraphStats::build(q);
     let ctx = FilterContext::with_options(q, g, &q_stats, g_stats, config.filters);
-    let ctx = match verdicts {
-        Some(cache) => ctx.with_verdicts(cache),
-        None => ctx,
-    };
     #[cfg(feature = "trace")]
     let ctx = ctx.with_trace(&build_counters);
 
@@ -251,8 +232,8 @@ fn run(
 }
 
 /// Runs the enumeration phase over an already-prepared query. Shared by
-/// the one-shot API, [`DataGraph`](crate::session::DataGraph) sessions and
-/// [`Maintained`](crate::refresh::Maintained) handles. Borrows the
+/// the one-shot API and [`DataGraph`](crate::session::DataGraph) sessions.
+/// Borrows the
 /// preparation (cloning its stats into the report) so an amortized caller
 /// can enumerate the same CPI repeatedly. Only `config`'s enumeration-side
 /// knobs (budget, ordering, pruning) are consulted: a preparation is

@@ -11,7 +11,6 @@
 //! `CandVerify` checks the cheap MND filter before the `O(|L_N(u)|)` NLF
 //! filter.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Arc;
 
 use cfl_graph::{Graph, Label, NlfIndex, StatTables, VertexId};
@@ -83,14 +82,12 @@ enum FilterStage {
     Nlf,
 }
 
-/// A memoized CandVerify verdict pulled out of a [`VerdictCache`].
+/// A CandVerify verdict with the stage that decided it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct CachedVerdict {
+pub(crate) struct Verdict {
     /// Whether `(v, u)` passed CandVerify.
     pub(crate) passed: bool,
     /// When `!passed`: whether the MND stage rejected it.
-    /// Preserved (with `failed_at_lp`) so traced refreshes attribute kills
-    /// to the same stage the original computation did.
     pub(crate) failed_at_mnd: bool,
     /// When `!passed`: whether the label-pair stage (rather than NLF)
     /// rejected it.
@@ -99,19 +96,20 @@ pub(crate) struct CachedVerdict {
 
 /// CandVerify (Algorithm 6) evaluated purely from stat tables — no graph
 /// access. This is the single implementation behind
-/// [`FilterContext::cand_verify`]; it is exposed separately so incremental
-/// refresh ([`crate::refresh`]) can evaluate the *previous* epoch's verdict
-/// of a pair from the retained old [`GraphStats`] handle, including pairs
-/// the old build never consulted. Assumes the label pre-filter passed.
+/// [`FilterContext::cand_verify`]; it is exposed separately so
+/// [`PlanCache::refresh`](crate::PlanCache::refresh) can evaluate a pair's
+/// verdict under the statistics of the graph *before* a delta, including
+/// pairs the cached build never consulted. Assumes the label pre-filter
+/// passed.
 pub(crate) fn cand_verify_stats(
     q_stats: &GraphStats,
     g_stats: &GraphStats,
     options: FilterOptions,
     v: VertexId,
     u: VertexId,
-) -> CachedVerdict {
+) -> Verdict {
     if options.use_mnd && g_stats.mnd[v as usize] < q_stats.mnd[u as usize] {
-        return CachedVerdict {
+        return Verdict {
             passed: false,
             failed_at_mnd: true,
             failed_at_lp: false,
@@ -120,7 +118,7 @@ pub(crate) fn cand_verify_stats(
     // Label-pair blooms between the constant-time MND probe and the NLF
     // merge scan: two AND-compares against the 2-hop masks.
     if options.use_label_pair && !g_stats.label_pairs.dominates(v, &q_stats.label_pairs, u) {
-        return CachedVerdict {
+        return Verdict {
             passed: false,
             failed_at_mnd: false,
             failed_at_lp: true,
@@ -134,148 +132,10 @@ pub(crate) fn cand_verify_stats(
             && (q_nlf.packed_exact(u)
                 || NlfIndex::dominates(g_stats.nlf.signature(v), q_nlf.signature(u)))
     };
-    CachedVerdict {
+    Verdict {
         passed,
         failed_at_mnd: false,
         failed_at_lp: false,
-    }
-}
-
-/// Memoized CandVerify verdicts for one `(query, data-graph epoch,
-/// FilterOptions)` binding, shared across successive CPI builds of the
-/// same query so an incremental refresh recomputes only the verdicts a
-/// [`GraphDelta`](cfl_graph::GraphDelta) could have changed.
-///
-/// CandVerify is a *pure* function of `v`'s data-side statistics (MND, NLF
-/// signature) and `u`'s query-side statistics, so replaying a stored
-/// verdict is exactly equivalent to recomputation — the refreshed CPI is
-/// bit-identical to a cold rebuild by construction. The owner
-/// ([`refresh`](crate::refresh)) must clear the columns of every dirty
-/// data vertex via [`invalidate`](Self::invalidate) before reuse, and must
-/// not reuse a cache across different queries, filter options, or data
-/// graphs.
-///
-/// Layout: three bitsets of `nq × ⌈nv/64⌉` words — `checked` (a verdict
-/// for `(u, v)` is present), `passed`, and `failed_mnd` (stage
-/// attribution for failures). Concurrency: CPI construction probes from
-/// multiple build threads, so all three are atomic. A writer publishes the
-/// payload bits *before* setting the `checked` bit with `Release`; a
-/// reader `Acquire`-loads `checked` first, so observing the bit guarantees
-/// the payload stores are visible. Racing writers store the same pure
-/// verdict, so duplicated `fetch_or`s are idempotent. (All orderings are
-/// Acquire/Release — no `Relaxed`, so the protocol needs no loom-model
-/// allowlisting; see `xtask lint`.)
-pub struct VerdictCache {
-    /// Words per query-vertex row: `⌈nv/64⌉`.
-    words: usize,
-    /// Bit `(u, v)` set ⇔ a verdict for `(u, v)` is stored.
-    checked: Vec<AtomicU64>,
-    /// Bit `(u, v)` set ⇔ the stored verdict is "passed".
-    passed: Vec<AtomicU64>,
-    /// Bit `(u, v)` set ⇔ the stored verdict failed at the MND stage.
-    failed_mnd: Vec<AtomicU64>,
-    /// Bit `(u, v)` set ⇔ the stored verdict failed at the label-pair stage.
-    failed_lp: Vec<AtomicU64>,
-}
-
-impl VerdictCache {
-    /// An empty cache for `nq` query vertices against `nv` data vertices.
-    pub fn new(nq: usize, nv: usize) -> Self {
-        let words = nv.div_ceil(64);
-        let len = nq * words;
-        let zeroed = || (0..len).map(|_| AtomicU64::new(0)).collect();
-        VerdictCache {
-            words,
-            checked: zeroed(),
-            passed: zeroed(),
-            failed_mnd: zeroed(),
-            failed_lp: zeroed(),
-        }
-    }
-
-    /// Word index and bit mask addressing `(u, v)`.
-    #[inline]
-    fn slot(&self, u: VertexId, v: VertexId) -> (usize, u64) {
-        (
-            u as usize * self.words + (v as usize >> 6),
-            1u64 << (v as usize & 63),
-        )
-    }
-
-    /// The stored verdict for `(u, v)`, if one exists.
-    #[inline]
-    pub(crate) fn lookup(&self, u: VertexId, v: VertexId) -> Option<CachedVerdict> {
-        let (idx, bit) = self.slot(u, v);
-        // Acquire pairs with the Release `fetch_or` in `record`: seeing the
-        // checked bit guarantees the payload bits below are visible.
-        if self.checked[idx].load(Ordering::Acquire) & bit == 0 {
-            return None;
-        }
-        Some(CachedVerdict {
-            passed: self.passed[idx].load(Ordering::Acquire) & bit != 0,
-            failed_at_mnd: self.failed_mnd[idx].load(Ordering::Acquire) & bit != 0,
-            failed_at_lp: self.failed_lp[idx].load(Ordering::Acquire) & bit != 0,
-        })
-    }
-
-    /// Stores a verdict for `(u, v)`. Idempotent under races because every
-    /// writer computes the same pure verdict.
-    #[inline]
-    pub(crate) fn record(&self, u: VertexId, v: VertexId, verdict: CachedVerdict) {
-        let (idx, bit) = self.slot(u, v);
-        if verdict.passed {
-            self.passed[idx].fetch_or(bit, Ordering::Release);
-        } else if verdict.failed_at_mnd {
-            self.failed_mnd[idx].fetch_or(bit, Ordering::Release);
-        } else if verdict.failed_at_lp {
-            self.failed_lp[idx].fetch_or(bit, Ordering::Release);
-        }
-        // Publish last: readers Acquire-load this word first.
-        self.checked[idx].fetch_or(bit, Ordering::Release);
-    }
-
-    /// Forgets the verdicts of every query vertex against each data vertex
-    /// in `dirty` (sorted, as [`AppliedDelta::dirty`] guarantees), so the
-    /// next probe recomputes them against the refreshed statistics. Clears
-    /// payload bits too: `record` can only OR bits in, so a stale "passed"
-    /// bit would otherwise survive a flipped verdict.
-    ///
-    /// Takes `&mut self` — invalidation happens between builds, when the
-    /// owner holds the cache exclusively — so dirty vertices sharing a
-    /// 64-bit word are merged into one plain (non-atomic) masked store per
-    /// query row instead of three read-modify-write ops per vertex. This
-    /// keeps the retention fast path's fixed cost low.
-    ///
-    /// [`AppliedDelta::dirty`]: cfl_graph::AppliedDelta
-    pub fn invalidate(&mut self, dirty: &[VertexId]) {
-        debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]));
-        let rows = self.num_query_vertices();
-        let mut i = 0;
-        while i < dirty.len() {
-            let word = dirty[i] as usize >> 6;
-            let mut mask = !0u64;
-            while i < dirty.len() && (dirty[i] as usize >> 6) == word {
-                mask &= !(1u64 << (dirty[i] as usize & 63));
-                i += 1;
-            }
-            for u in 0..rows {
-                let idx = u * self.words + word;
-                *self.checked[idx].get_mut() &= mask;
-                *self.passed[idx].get_mut() &= mask;
-                *self.failed_mnd[idx].get_mut() &= mask;
-                *self.failed_lp[idx].get_mut() &= mask;
-            }
-        }
-    }
-
-    /// Number of query-vertex rows this cache was sized for.
-    pub(crate) fn num_query_vertices(&self) -> usize {
-        self.checked.len().checked_div(self.words).unwrap_or(0)
-    }
-
-    /// Number of data vertices a row can address (rounded up to the word).
-    pub(crate) fn data_capacity(&self) -> usize {
-        self.words * 64
     }
 }
 
@@ -291,10 +151,6 @@ pub struct FilterContext<'a> {
     pub g_stats: &'a GraphStats,
     /// Enabled optional filters.
     pub options: FilterOptions,
-    /// Memoized CandVerify verdicts; attached by incremental refresh
-    /// ([`crate::refresh`]) so a rebuild replays stored verdicts instead of
-    /// recomputing MND/NLF checks. `None` on ordinary one-shot runs.
-    pub(crate) verdicts: Option<&'a VerdictCache>,
     /// Shared sink for construction-time pruning counters; populated by
     /// `prepare` when tracing a run, `None` otherwise (and absent entirely
     /// without the `trace` feature).
@@ -327,23 +183,9 @@ impl<'a> FilterContext<'a> {
             q_stats,
             g_stats,
             options,
-            verdicts: None,
             #[cfg(feature = "trace")]
             build_trace: None,
         }
-    }
-
-    /// Attaches a verdict cache: CandVerify probes replay stored verdicts
-    /// and record freshly computed ones. The caller guarantees the cache
-    /// was built for this exact `(q, g, options)` binding and that columns
-    /// of data vertices whose statistics changed have been
-    /// [invalidated](VerdictCache::invalidate).
-    #[must_use]
-    pub(crate) fn with_verdicts(mut self, cache: &'a VerdictCache) -> Self {
-        debug_assert!(cache.num_query_vertices() >= self.q.num_vertices());
-        debug_assert!(cache.data_capacity() >= self.g.num_vertices());
-        self.verdicts = Some(cache);
-        self
     }
 
     /// Attaches a construction-counter sink: every kill the CPI build
@@ -367,38 +209,6 @@ impl<'a> FilterContext<'a> {
         }
     }
 
-    /// Discards any kernel-dispatch tally left on this thread by earlier
-    /// untraced work, so the next [`rec_kernel_tally`](Self::rec_kernel_tally)
-    /// harvest covers exactly the section in between. Compiles to nothing
-    /// without the `trace` feature.
-    #[inline(always)]
-    #[allow(clippy::inline_always)]
-    pub(crate) fn reset_kernel_tally(&self) {
-        #[cfg(feature = "trace")]
-        {
-            let _ = cfl_graph::intersect::tally::take();
-        }
-    }
-
-    /// Drains this thread's kernel-dispatch tally into the attached build
-    /// counters. Drains even when no sink is attached, so counts from an
-    /// untraced run never leak into a later traced section on a reused
-    /// pool thread. Compiles to nothing without the `trace` feature.
-    #[inline(always)]
-    #[allow(clippy::inline_always)]
-    pub(crate) fn rec_kernel_tally(&self) {
-        #[cfg(feature = "trace")]
-        {
-            let t = cfl_graph::intersect::tally::take();
-            if let Some(sink) = self.build_trace {
-                sink.add(cfl_trace::BuildCounter::MergeHits, t.merge);
-                sink.add(cfl_trace::BuildCounter::GallopHits, t.gallop);
-                sink.add(cfl_trace::BuildCounter::BitsetHits, t.bitset);
-                sink.add(cfl_trace::BuildCounter::SimdHits, t.simd);
-            }
-        }
-    }
-
     /// The label + degree pre-filter the construction loops apply inline
     /// (Algorithm 3, lines 1 and 12). The label test runs first: it
     /// rejects most probes against the smaller (hotter) label array
@@ -409,29 +219,10 @@ impl<'a> FilterContext<'a> {
     }
 
     /// The CandVerify computation proper: MND filter then NLF filter,
-    /// reporting the verdict plus stage attribution for failures. Pure in
-    /// `v`'s data-side statistics and `u`'s query-side statistics — the
-    /// property the [`VerdictCache`] memoization relies on.
+    /// reporting the verdict plus stage attribution for failures.
     #[inline]
-    fn cand_verify_compute(&self, v: VertexId, u: VertexId) -> CachedVerdict {
+    fn cand_verify_compute(&self, v: VertexId, u: VertexId) -> Verdict {
         cand_verify_stats(self.q_stats, self.g_stats, self.options, v, u)
-    }
-
-    /// `cand_verify_compute` through the attached [`VerdictCache`], when
-    /// one is present: replay a stored verdict or compute-and-store.
-    #[inline]
-    fn cand_verify_memo(&self, v: VertexId, u: VertexId) -> CachedVerdict {
-        match self.verdicts {
-            None => self.cand_verify_compute(v, u),
-            Some(cache) => {
-                if let Some(hit) = cache.lookup(u, v) {
-                    return hit;
-                }
-                let verdict = self.cand_verify_compute(v, u);
-                cache.record(u, v, verdict);
-                verdict
-            }
-        }
     }
 
     /// `CandVerify` (Algorithm 6): MND filter then NLF filter. Assumes the
@@ -444,25 +235,24 @@ impl<'a> FilterContext<'a> {
     /// touching the `(label, count)` merge scan.
     #[inline]
     pub fn cand_verify(&self, v: VertexId, u: VertexId) -> bool {
-        self.cand_verify_memo(v, u).passed
+        self.cand_verify_compute(v, u).passed
     }
 
     /// Like [`cand_verify`](Self::cand_verify) but reporting *which* stage
     /// rejected the probe. Trace-only: the stage split exists so kill
     /// counters can attribute prunes to the MND vs. NLF filter. The keep
     /// decision is `result.is_ok()`, and the verdict comes from the same
-    /// `cand_verify_compute` (possibly memoized — stage attribution is
-    /// stored alongside the verdict), so classification never changes
-    /// which candidates survive.
+    /// `cand_verify_compute`, so classification never changes which
+    /// candidates survive.
     #[cfg(feature = "trace")]
     fn cand_verify_stage(&self, v: VertexId, u: VertexId) -> Result<(), FilterStage> {
-        match self.cand_verify_memo(v, u) {
-            CachedVerdict { passed: true, .. } => Ok(()),
-            CachedVerdict {
+        match self.cand_verify_compute(v, u) {
+            Verdict { passed: true, .. } => Ok(()),
+            Verdict {
                 failed_at_mnd: true,
                 ..
             } => Err(FilterStage::Mnd),
-            CachedVerdict {
+            Verdict {
                 failed_at_lp: true, ..
             } => Err(FilterStage::LabelPair),
             _ => Err(FilterStage::Nlf),
@@ -696,88 +486,6 @@ mod tests {
             })
             .sum();
         assert!(snap.mnd_kills + snap.nlf_kills <= probes);
-    }
-
-    #[test]
-    fn verdict_cache_round_trips_and_invalidates() {
-        let mut cache = VerdictCache::new(3, 70); // two words per row
-        assert_eq!(cache.lookup(1, 65), None);
-        cache.record(
-            1,
-            65,
-            CachedVerdict {
-                passed: false,
-                failed_at_mnd: true,
-                failed_at_lp: false,
-            },
-        );
-        cache.record(
-            2,
-            65,
-            CachedVerdict {
-                passed: true,
-                failed_at_mnd: false,
-                failed_at_lp: false,
-            },
-        );
-        assert_eq!(
-            cache.lookup(1, 65),
-            Some(CachedVerdict {
-                passed: false,
-                failed_at_mnd: true,
-                failed_at_lp: false,
-            })
-        );
-        assert_eq!(
-            cache.lookup(2, 65),
-            Some(CachedVerdict {
-                passed: true,
-                failed_at_mnd: false,
-                failed_at_lp: false,
-            })
-        );
-        // Same data vertex, other rows untouched.
-        assert_eq!(cache.lookup(0, 65), None);
-        // Invalidation clears every row's column, payload bits included,
-        // so a re-recorded opposite verdict reads back correctly.
-        cache.invalidate(&[65]);
-        assert_eq!(cache.lookup(1, 65), None);
-        assert_eq!(cache.lookup(2, 65), None);
-        cache.record(
-            2,
-            65,
-            CachedVerdict {
-                passed: false,
-                failed_at_mnd: false,
-                failed_at_lp: true,
-            },
-        );
-        assert_eq!(
-            cache.lookup(2, 65),
-            Some(CachedVerdict {
-                passed: false,
-                failed_at_mnd: false,
-                failed_at_lp: true,
-            })
-        );
-    }
-
-    #[test]
-    fn memoized_cand_verify_matches_plain() {
-        let (q, g) = ctx_graphs();
-        let qs = GraphStats::build(&q);
-        let gs = GraphStats::build(&g);
-        let cache = VerdictCache::new(q.num_vertices(), g.num_vertices());
-        let plain = FilterContext::new(&q, &g, &qs, &gs);
-        let memo = FilterContext::new(&q, &g, &qs, &gs).with_verdicts(&cache);
-        // Two passes: the first computes-and-records, the second replays.
-        for _ in 0..2 {
-            for u in q.vertices() {
-                for v in g.vertices() {
-                    assert_eq!(memo.cand_verify(v, u), plain.cand_verify(v, u), "v{v} u{u}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -54,7 +54,6 @@ mod models;
 pub mod oracle;
 pub mod order;
 mod pool;
-pub mod refresh;
 pub mod result;
 pub mod root;
 pub mod serve;
@@ -80,9 +79,8 @@ pub use exec::{
     find_embeddings, prepare, Prepared,
 };
 pub use extended::{collect_embeddings_extended, find_embeddings_extended};
-pub use filters::{FilterContext, FilterOptions, GraphStats, VerdictCache};
+pub use filters::{FilterContext, FilterOptions, GraphStats};
 pub use order::{compute_order, compute_order_with, OrderPlan, OrderedVertex};
-pub use refresh::{Maintained, RefreshKind, RefreshStats, DAMAGE_THRESHOLD};
 pub use result::{Embedding, EmbeddingChecksum, MatchOutcome, MatchReport, MatchStats};
 pub use serve::{Engine, EngineConfig, QueryEvent, QueryHandle, QuerySpec, Server, SubmitError};
 

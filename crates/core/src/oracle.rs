@@ -1,15 +1,31 @@
 //! Differential-testing hooks for external harnesses (feature `oracle`).
 //!
 //! The `cfl-fuzz` crate needs to compare the production flat-arena CPI
-//! freeze against the naive nested reference representation, which lives
-//! behind crate-private APIs. This module packages that comparison as a
-//! single self-contained check so the internals stay private. It is **not
-//! a stable API** and is compiled only under the `oracle` feature.
+//! freeze against the naive nested reference representation, and plans
+//! carried across deltas against cold builds; both live behind
+//! crate-private APIs. This module packages those comparisons as
+//! self-contained calls so the internals stay private. It is **not a
+//! stable API** and is compiled only under the `oracle` feature.
 
 use cfl_graph::{Graph, VertexId};
 
+use crate::cache::{peek, PlanCache};
+use crate::config::MatchConfig;
 use crate::cpi::{refine, topdown};
 use crate::filters::{FilterContext, GraphStats};
+
+/// The [`Cpi::checksum`](crate::Cpi::checksum) of the plan `cache` holds
+/// for `q` (or any label-preserving isomorph of it) at `epoch` under
+/// `config`, if one is resident. Counts no lookup and leaves LRU recency
+/// alone, so probing does not perturb the cache under test.
+pub fn cached_plan_checksum(
+    cache: &PlanCache,
+    q: &Graph,
+    epoch: u64,
+    config: &MatchConfig,
+) -> Option<u64> {
+    peek(cache, q, epoch, config).map(|plan| plan.cpi.checksum())
+}
 
 /// Builds the CPI for `(q, g)` twice — through the production flat-arena
 /// freeze and through the nested reference freeze — and verifies they are

@@ -30,7 +30,7 @@ fn queries(g: &cfl_graph::Graph) -> Vec<cfl_graph::Graph> {
 #[test]
 fn trace_is_recorded_and_consistent() {
     let g = data();
-    let mut build_bitset_hits = 0u64;
+    let mut seeded = 0u64;
     for q in queries(&g) {
         let r = count_embeddings(&q, &g, &MatchConfig::exhaustive()).unwrap();
         let trace = r.stats.trace.as_deref().expect("trace feature records");
@@ -38,14 +38,11 @@ fn trace_is_recorded_and_consistent() {
         assert_eq!(trace.workers.len(), 1);
         let checked = cfl_verify::check_trace(trace, Some(r.embeddings));
         assert!(checked.is_clean(), "{checked}");
-        build_bitset_hits += trace.build.bitset_hits;
+        seeded += trace.build.seeded;
     }
-    // Phase 3 of every top-down build routes each adjacency row through
-    // the bitset intersection kernel, so real runs must record dispatches.
-    assert!(
-        build_bitset_hits > 0,
-        "top-down builds ran no bitset kernel dispatches"
-    );
+    // Real builds seed candidates, so the identities above were checked
+    // on recorded work, not on an all-zero report.
+    assert!(seeded > 0, "top-down builds recorded no seeded candidates");
 }
 
 #[test]
@@ -132,43 +129,4 @@ fn session_and_one_shot_traces_agree() {
         a.workers[0].counters.depth_hist,
         b.workers[0].counters.depth_hist
     );
-    // Kernel dispatch is deterministic too: the same build work runs the
-    // same kernels whether or not the stats tables were memoized first.
-    assert_eq!(a.build.merge_hits, b.build.merge_hits);
-    assert_eq!(a.build.gallop_hits, b.build.gallop_hits);
-    assert_eq!(a.build.bitset_hits, b.build.bitset_hits);
-}
-
-#[test]
-fn kernel_dispatch_counters_are_thread_count_invariant() {
-    // The kernel work a build + enumeration performs is fixed by the
-    // query; only which thread performs it varies. Summing build and
-    // per-worker dispatch counters must therefore give the same totals
-    // at every thread count, and the totals must satisfy the
-    // `simd ≤ merge + gallop + bitset` identity cfl-verify re-checks.
-    let g = data();
-    for q in queries(&g).into_iter().take(4) {
-        let mut totals: Vec<(u64, u64, u64, u64)> = Vec::new();
-        for threads in [1, 4] {
-            let r = count_embeddings_parallel(&q, &g, &MatchConfig::exhaustive(), threads).unwrap();
-            let Some(trace) = r.stats.trace.as_deref() else {
-                continue;
-            };
-            let mut t = (
-                trace.build.merge_hits,
-                trace.build.gallop_hits,
-                trace.build.bitset_hits,
-                trace.build.simd_hits,
-            );
-            for w in &trace.workers {
-                t.0 += w.counters.merge_hits;
-                t.1 += w.counters.gallop_hits;
-                t.2 += w.counters.bitset_hits;
-                t.3 += w.counters.simd_hits;
-            }
-            assert!(t.3 <= t.0 + t.1 + t.2, "simd hits exceed dispatches");
-            totals.push(t);
-        }
-        assert!(totals.windows(2).all(|w| w[0] == w[1]), "{totals:?}");
-    }
 }

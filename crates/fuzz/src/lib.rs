@@ -9,14 +9,13 @@
 //!   naive nested reference freeze (`cfl-match`'s `oracle` feature);
 //! * **thread-checksum** — CPI checksum and embedding-count identity
 //!   between 1-thread and N-thread execution;
-//! * **kernel-diff** — every intersection kernel vs a `BTreeSet` oracle
-//!   over the case's real adjacency rows;
 //! * **canon-fingerprint** — canonical-fingerprint invariance under
 //!   vertex permutation and label renaming, plus plan-cache-hit vs
 //!   cold-run embedding identity;
-//! * **delta-identity** — incrementally maintained CPIs vs fresh rebuilds
-//!   (checksum and embedding-count identity) across random edge-toggle
-//!   [`cfl_graph::GraphDelta`] batches;
+//! * **delta-identity** — plans the plan cache carries across random
+//!   edge-toggle [`cfl_graph::GraphDelta`] batches vs fresh rebuilds (CPI
+//!   checksum identity), and cached-session vs one-shot embedding
+//!   checksums on every successor graph;
 //! * **strategy-identity** — every (ordering × pruning) enumeration
 //!   strategy combination vs the default static-order / plain-backtracking
 //!   pair: identical embedding sets serially and identical counts under

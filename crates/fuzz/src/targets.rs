@@ -9,7 +9,10 @@
 
 use cfl_baselines::{Matcher, Vf2};
 use cfl_graph::{canonical_query, graph_from_edges, Graph, GraphDelta, VertexId};
-use cfl_match::{Budget, DataGraph, Maintained, MatchConfig, OrderingKind, PruningKind};
+use cfl_match::{
+    Budget, DataGraph, EmbeddingChecksum, MatchConfig, OrderingKind, PlanCache, PruningKind,
+};
+use std::sync::Arc;
 
 use crate::spec::Case;
 
@@ -35,7 +38,6 @@ pub const TARGETS: &[(&str, Target)] = &[
     ("cfl-vs-vf2", cfl_vs_vf2),
     ("flat-vs-nested", flat_vs_nested),
     ("thread-checksum", thread_checksum),
-    ("kernel-diff", kernel_diff),
     ("canon-fingerprint", canon_fingerprint),
     ("delta-identity", delta_identity),
     ("strategy-identity", strategy_identity),
@@ -124,104 +126,6 @@ pub fn cfl_vs_vf2(case: &Case) -> Result<Verdict, String> {
 pub fn flat_vs_nested(case: &Case) -> Result<Verdict, String> {
     cfl_match::oracle::flat_matches_nested(&case.q, &case.g)?;
     Ok(Verdict::Checked)
-}
-
-/// Every intersection kernel vs a shared-nothing `BTreeSet` oracle, over
-/// the case's real adjacency rows. Covers the whole `cfl_graph::intersect`
-/// family: the adaptive dispatcher, both scalar list kernels, the forced
-/// SIMD merge/gallop hooks (exercised whenever the hardware path engages,
-/// regardless of the global kernel-mode switch), and the three
-/// word-at-a-time bitset kernels. Adjacency rows are exactly the inputs
-/// the CPI build and leaf phase feed these kernels, so a divergence here
-/// is a soundness bug upstream of every embedding count.
-pub fn kernel_diff(case: &Case) -> Result<Verdict, String> {
-    /// Work cap: pairs of rows compared per case (both graphs pooled).
-    const MAX_PAIRS: usize = 128;
-
-    let rows: Vec<&[VertexId]> = case
-        .g
-        .vertices()
-        .map(|v| case.g.neighbors(v))
-        .chain(case.q.vertices().map(|u| case.q.neighbors(u)))
-        .collect();
-    if rows.is_empty() {
-        return Ok(Verdict::Skipped("no adjacency rows"));
-    }
-    let max_key = rows
-        .iter()
-        .flat_map(|r| r.iter().copied())
-        .max()
-        .unwrap_or(0);
-
-    // A fixed-stride walk over the pair grid keeps every case cheap while
-    // still mixing short-vs-long and equal-length row pairs.
-    let stride = (rows.len() * rows.len()).div_ceil(MAX_PAIRS).max(1);
-    let mut set = cfl_graph::FixedBitSet::new(max_key as usize + 1);
-    for pair in (0..rows.len() * rows.len()).step_by(stride) {
-        let (a, b) = (rows[pair / rows.len()], rows[pair % rows.len()]);
-        let oracle: Vec<VertexId> = {
-            let bs: std::collections::BTreeSet<VertexId> = b.iter().copied().collect();
-            a.iter().copied().filter(|x| bs.contains(x)).collect()
-        };
-
-        let mut out = Vec::new();
-        cfl_graph::intersect_into(a, b, &mut out);
-        check_kernel("dispatch", a, b, &out, &oracle)?;
-
-        out.clear();
-        cfl_graph::intersect::merge_intersect(a, b, &mut out);
-        check_kernel("scalar merge", a, b, &out, &oracle)?;
-
-        out.clear();
-        cfl_graph::intersect::gallop_intersect(a, b, &mut out);
-        check_kernel("scalar gallop", a, b, &out, &oracle)?;
-
-        out.clear();
-        if cfl_graph::intersect::merge_intersect_simd(a, b, &mut out) {
-            check_kernel("simd merge", a, b, &out, &oracle)?;
-        }
-        out.clear();
-        if cfl_graph::intersect::gallop_intersect_simd(a, b, &mut out) {
-            check_kernel("simd gallop", a, b, &out, &oracle)?;
-        }
-
-        set.insert_all(b);
-        out.clear();
-        cfl_graph::intersect_with_set(a, &set, &mut out);
-        check_kernel("bitset intersect", a, b, &out, &oracle)?;
-
-        let mut retained = a.to_vec();
-        cfl_graph::intersect::retain_in_set(&mut retained, &set);
-        check_kernel("bitset retain", a, b, &retained, &oracle)?;
-
-        let difference: Vec<VertexId> = a.iter().copied().filter(|x| !oracle.contains(x)).collect();
-        out.clear();
-        cfl_graph::intersect::retain_unset_into(a, &set, &mut out);
-        check_kernel("bitset difference", a, b, &out, &difference)?;
-
-        // Restore by key (the bitset outlives the pair loop).
-        set.remove_all(b);
-    }
-    Ok(Verdict::Checked)
-}
-
-/// One kernel-vs-oracle comparison, with enough context to replay by hand.
-fn check_kernel(
-    kernel: &str,
-    a: &[VertexId],
-    b: &[VertexId],
-    got: &[VertexId],
-    want: &[VertexId],
-) -> Result<(), String> {
-    if got != want {
-        return Err(format!(
-            "{kernel} diverges from oracle: |a|={} |b|={} got {got:?} want {want:?} \
-             (a={a:?} b={b:?})",
-            a.len(),
-            b.len()
-        ));
-    }
-    Ok(())
 }
 
 /// One splitmix64 step: the per-case deterministic randomness source for
@@ -406,33 +310,34 @@ pub fn canon_fingerprint(case: &Case) -> Result<Verdict, String> {
     }
 }
 
-/// Incremental CPI maintenance vs rebuild-from-scratch.
+/// Plans carried across deltas vs cold rebuilds.
 ///
-/// Drives a [`Maintained`] handle through a seed-derived sequence of edge
+/// Primes a plan cache with the case's query through a cached
+/// [`DataGraph`] session, then walks a seed-derived sequence of edge
 /// toggles (existing edge → delete, absent pair → insert) applied as
-/// [`GraphDelta`] batches. After every refresh — whichever path it takes
-/// (unchanged, re-filtered, or full rebuild) — the maintained CPI checksum
-/// must equal a fresh one-shot build on the successor graph, and the
-/// budgeted embedding counts must agree.
+/// [`GraphDelta`] batches, carrying the plan across each one with
+/// [`PlanCache::refresh`]. After every batch a retained plan's CPI
+/// checksum must equal a fresh one-shot build on the successor graph, and
+/// the cached session's embedding checksum and count must equal a one-shot
+/// run's. That session run also re-prepares a plan the refresh dropped, so
+/// every step has a plan to carry.
 pub fn delta_identity(case: &Case) -> Result<Verdict, String> {
     /// Refresh steps per case and toggle attempts per batch.
     const STEPS: usize = 4;
     const OPS_PER_STEP: usize = 3;
 
     let cfg = MatchConfig::exhaustive().with_budget(Budget::first(EMB_CAP));
-    let mut maintained = match Maintained::prepare(&case.q, &case.g, &cfg) {
-        Ok(m) => m,
-        Err(e) => {
-            return match cfl_match::prepare(&case.q, &case.g, &cfg) {
-                Err(f) if e == f => Ok(Verdict::Checked),
-                Err(f) => Err(format!(
-                    "maintained and one-shot prepare reject differently: \
-                     {e:?} vs {f:?}"
-                )),
-                Ok(_) => Err(format!("only the maintained prepare rejects: {e:?}")),
-            };
-        }
-    };
+    let cache = Arc::new(PlanCache::new(4));
+    if let Err(e) = session_checksum(&case.q, &case.g, &cache, &cfg) {
+        return match cfl_match::prepare(&case.q, &case.g, &cfg) {
+            Err(f) if e == f => Ok(Verdict::Checked),
+            Err(f) => Err(format!(
+                "cached session and one-shot prepare reject differently: \
+                 {e:?} vs {f:?}"
+            )),
+            Ok(_) => Err(format!("only the cached session rejects: {e:?}")),
+        };
+    }
 
     let nv = case.g.num_vertices() as u64;
     if nv < 2 {
@@ -466,35 +371,69 @@ pub fn delta_identity(case: &Case) -> Result<Verdict, String> {
         let applied = g
             .apply_delta(&delta)
             .map_err(|e| format!("toggle batch rejected: {e:?}"))?;
-        let kind = maintained
-            .refresh(&applied)
-            .map_err(|e| format!("refresh failed: {e:?}"))?;
+        let retained = cache.refresh(&g, &applied);
         g = applied.graph;
-
-        let fresh = cfl_match::prepare(&case.q, &g, &cfg)
-            .map_err(|e| format!("fresh prepare fails where refresh succeeded: {e:?}"))?;
-        let (mc, fc) = (maintained.prepared().cpi.checksum(), fresh.cpi.checksum());
-        if mc != fc {
+        if retained > 1 {
             return Err(format!(
-                "incremental CPI diverges from fresh rebuild at epoch {} \
-                 after a {kind:?} refresh: maintained={mc:#018x} fresh={fc:#018x}",
-                g.epoch()
+                "refresh retained {retained} plans from a one-plan cache"
             ));
         }
-        let inc = maintained.count_embeddings(&g);
-        let one = cfl_match::count_embeddings(&case.q, &g, &cfg)
-            .map_err(|e| format!("one-shot count fails where refresh succeeded: {e:?}"))?;
-        if inc.embeddings != one.embeddings {
+
+        let fresh = cfl_match::prepare(&case.q, &g, &cfg)
+            .map_err(|e| format!("fresh prepare fails on the successor graph: {e:?}"))?;
+        if retained == 1 {
+            let carried = cfl_match::oracle::cached_plan_checksum(&cache, &case.q, g.epoch(), &cfg)
+                .ok_or("refresh reported a retained plan, but none is resident")?;
+            let fc = fresh.cpi.checksum();
+            if carried != fc {
+                return Err(format!(
+                    "retained plan diverges from a fresh rebuild at epoch {}: \
+                     carried={carried:#018x} fresh={fc:#018x}",
+                    g.epoch()
+                ));
+            }
+        }
+        let served = session_checksum(&case.q, &g, &cache, &cfg)
+            .map_err(|e| format!("cached session fails where fresh prepare succeeded: {e:?}"))?;
+        let mut one_shot = EmbeddingChecksum::new();
+        let _ = cfl_match::find_embeddings(&case.q, &g, &cfg, |m| {
+            one_shot.update(m);
+            true
+        })
+        .map_err(|e| format!("one-shot run fails where fresh prepare succeeded: {e:?}"))?;
+        if served != one_shot {
             return Err(format!(
-                "embedding counts diverge at epoch {} after a {kind:?} refresh: \
-                 maintained={} one-shot={}",
+                "cached session diverges from a one-shot run at epoch {} \
+                 ({} plan retained): session {} embeddings {:#018x}, \
+                 one-shot {} embeddings {:#018x}",
                 g.epoch(),
-                inc.embeddings,
-                one.embeddings
+                retained,
+                served.count(),
+                served.digest(),
+                one_shot.count(),
+                one_shot.digest()
             ));
         }
     }
     Ok(Verdict::Checked)
+}
+
+/// Runs `q` on `g` through a session sharing `cache`, folding its
+/// embeddings into a checksum.
+fn session_checksum(
+    q: &Graph,
+    g: &Graph,
+    cache: &Arc<PlanCache>,
+    cfg: &MatchConfig,
+) -> Result<EmbeddingChecksum, cfl_match::Error> {
+    let mut sum = EmbeddingChecksum::new();
+    let _ = DataGraph::new(g)
+        .with_plan_cache(Arc::clone(cache))
+        .find_embeddings(q, cfg, |m| {
+            sum.update(m);
+            true
+        })?;
+    Ok(sum)
 }
 
 /// Every (ordering × pruning) strategy combination vs the default pair.

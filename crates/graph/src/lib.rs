@@ -45,7 +45,7 @@ pub use delta::{AppliedDelta, DeltaError, GraphDelta};
 pub use gen::query::{query_set, random_walk_query, QueryDensity, QueryGenConfig};
 pub use gen::{synthetic_graph, PowerLawLabels, SyntheticConfig, GENERATOR_VERSION};
 pub use graph::{Graph, VertexId};
-pub use intersect::{force_scalar_kernels, intersect_into, intersect_with_set};
+pub use intersect::intersect_with_set;
 pub use io::{read_graph, read_graph_file, write_graph, write_graph_file, IoError};
 pub use kcore::{core_numbers, k_core, two_core};
 pub use label::{Label, LabelMap};

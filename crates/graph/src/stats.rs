@@ -370,8 +370,8 @@ impl NlfIndex {
 /// intersections all filter by it immediately. Serving the matching group
 /// as a slice divides those scans by roughly the number of distinct
 /// neighbor labels and drops the per-visit label probe entirely. Group
-/// slices stay ascending, so they feed the shared sorted-set intersection
-/// kernels ([`crate::intersect`]) unchanged.
+/// slices stay ascending, so they feed the bitset intersection kernels
+/// ([`crate::intersect`]) unchanged.
 #[derive(Clone, Debug)]
 pub struct LabelAdjacency {
     /// Reordered adjacency arena; vertices tile it in id order exactly

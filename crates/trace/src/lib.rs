@@ -62,19 +62,6 @@ pub enum BuildCounter {
     /// Orphans killed by unreachable-candidate pruning (Algorithm 4
     /// lines 8–11 as realized by `prune_unreachable`).
     UnreachableKills,
-    /// Intersection calls served by the merge kernel during the build
-    /// (scalar or SIMD; see `cfl_graph::intersect`).
-    MergeHits,
-    /// Intersection calls served by the galloping kernel during the build.
-    GallopHits,
-    /// Intersection calls served by a word-at-a-time bitset kernel during
-    /// the build.
-    BitsetHits,
-    /// Build intersection calls whose body ran on an explicit SIMD path —
-    /// always a subset of the other three
-    /// (`simd_hits <= merge_hits + gallop_hits + bitset_hits`, an identity
-    /// `cfl_verify::check_trace` re-checks).
-    SimdHits,
     /// Nanoseconds in the top-down construction pass.
     TopDownNs,
     /// Nanoseconds in the bottom-up refinement pass.
@@ -99,10 +86,6 @@ pub struct BuildCounters {
     snte_kills: AtomicU64,
     refine_kills: AtomicU64,
     unreachable_kills: AtomicU64,
-    merge_hits: AtomicU64,
-    gallop_hits: AtomicU64,
-    bitset_hits: AtomicU64,
-    simd_hits: AtomicU64,
     topdown_ns: AtomicU64,
     refine_ns: AtomicU64,
     prune_ns: AtomicU64,
@@ -122,10 +105,6 @@ impl BuildCounters {
             BuildCounter::SnteKills => &self.snte_kills,
             BuildCounter::RefineKills => &self.refine_kills,
             BuildCounter::UnreachableKills => &self.unreachable_kills,
-            BuildCounter::MergeHits => &self.merge_hits,
-            BuildCounter::GallopHits => &self.gallop_hits,
-            BuildCounter::BitsetHits => &self.bitset_hits,
-            BuildCounter::SimdHits => &self.simd_hits,
             BuildCounter::TopDownNs => &self.topdown_ns,
             BuildCounter::RefineNs => &self.refine_ns,
             BuildCounter::PruneNs => &self.prune_ns,
@@ -153,10 +132,6 @@ impl BuildCounters {
             snte_kills: r(&self.snte_kills),
             refine_kills: r(&self.refine_kills),
             unreachable_kills: r(&self.unreachable_kills),
-            merge_hits: r(&self.merge_hits),
-            gallop_hits: r(&self.gallop_hits),
-            bitset_hits: r(&self.bitset_hits),
-            simd_hits: r(&self.simd_hits),
             final_candidates: 0,
             accounting_exact: false,
         }
@@ -191,15 +166,6 @@ pub struct BuildTrace {
     pub refine_kills: u64,
     /// Kills by unreachable-candidate pruning.
     pub unreachable_kills: u64,
-    /// Build intersection calls served by the merge kernel.
-    pub merge_hits: u64,
-    /// Build intersection calls served by the galloping kernel.
-    pub gallop_hits: u64,
-    /// Build intersection calls served by a word-at-a-time bitset kernel.
-    pub bitset_hits: u64,
-    /// Build intersection calls served by an explicit SIMD path (subset of
-    /// the other three dispatch counters).
-    pub simd_hits: u64,
     /// Candidate entries surviving into the frozen index.
     pub final_candidates: u64,
     /// Whether the exact accounting identity
@@ -223,11 +189,10 @@ impl BuildTrace {
     }
 }
 
-/// Plan-cache and incremental-maintenance counters (always-on atomics in
-/// the engine, so these fill even without the `trace` feature when the
-/// caller copies a `PlanCache` snapshot in). `plan_lookups = plan_hits +
-/// plan_misses` is an accounting identity `cfl_verify::check_trace`
-/// re-checks.
+/// Plan-cache counters (always-on atomics in the engine, so these fill
+/// even without the `trace` feature when the caller copies a `PlanCache`
+/// snapshot in). `plan_lookups = plan_hits + plan_misses` is an
+/// accounting identity `cfl_verify::check_trace` re-checks.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheTrace {
     /// Plan-cache consultations (one per prepare through a cached session).
@@ -242,23 +207,6 @@ pub struct CacheTrace {
     /// retention proof (`PlanCache::refresh`) instead of going stale with
     /// the epoch bump.
     pub plan_refreshes: u64,
-    /// Σ dirty-frontier sizes over the refreshes this report covers.
-    pub dirty_frontier: u64,
-    /// Refreshes that proved the CPI untouched and kept it verbatim.
-    pub refresh_unchanged: u64,
-    /// Refreshes whose dirty-frontier retention proof kept the CPI
-    /// without reconstructing any arena.
-    pub refresh_refiltered: u64,
-    /// Refreshes that fell back to a cold rebuild.
-    pub refresh_rebuilt: u64,
-}
-
-impl CacheTrace {
-    /// Total refreshes observed.
-    #[must_use]
-    pub fn total_refreshes(&self) -> u64 {
-        self.refresh_unchanged + self.refresh_refiltered + self.refresh_rebuilt
-    }
 }
 
 /// Size metrics of the frozen CPI (§4.1; the Figure 16(d) axes).
@@ -301,17 +249,6 @@ pub struct EnumCounters {
     pub leaf_nodes: u64,
     /// Nanoseconds inside the leaf phase (§4.4).
     pub leaf_ns: u64,
-    /// Enumeration intersection calls served by the merge kernel (see
-    /// `cfl_graph::intersect`; drained from the per-thread kernel tally).
-    pub merge_hits: u64,
-    /// Enumeration intersection calls served by the galloping kernel.
-    pub gallop_hits: u64,
-    /// Enumeration intersection calls served by a word-at-a-time bitset
-    /// kernel (the leaf phase's visited-set difference).
-    pub bitset_hits: u64,
-    /// Enumeration intersection calls served by an explicit SIMD path
-    /// (subset of the other three dispatch counters).
-    pub simd_hits: u64,
     /// `depth_hist[d]` = search nodes attempted at partial-match depth
     /// `d` (matching-order position); sums to
     /// `core_nodes + forest_nodes`.
@@ -358,8 +295,7 @@ pub struct TraceReport {
     pub build: BuildTrace,
     /// Frozen-index size metrics.
     pub cpi: CpiMetrics,
-    /// Plan-cache and incremental-refresh counters (zero when the run used
-    /// no cache or maintenance handle).
+    /// Plan-cache counters (zero when the run used no plan cache).
     pub cache: CacheTrace,
     /// One entry per enumeration worker.
     pub workers: Vec<WorkerTrace>,
@@ -430,26 +366,6 @@ impl TraceReport {
             "  unreachable kills   {:>10}\n",
             self.build.unreachable_kills
         ));
-        out.push_str("kernel dispatch (build + Σ workers)\n");
-        let wsum = |f: fn(&EnumCounters) -> u64| -> u64 {
-            self.workers.iter().map(|w| f(&w.counters)).sum()
-        };
-        out.push_str(&format!(
-            "  merge hits          {:>10}\n",
-            self.build.merge_hits + wsum(|c| c.merge_hits)
-        ));
-        out.push_str(&format!(
-            "  gallop hits         {:>10}\n",
-            self.build.gallop_hits + wsum(|c| c.gallop_hits)
-        ));
-        out.push_str(&format!(
-            "  bitset hits         {:>10}\n",
-            self.build.bitset_hits + wsum(|c| c.bitset_hits)
-        ));
-        out.push_str(&format!(
-            "  simd hits           {:>10}\n",
-            self.build.simd_hits + wsum(|c| c.simd_hits)
-        ));
         out.push_str("candidate accounting\n");
         out.push_str(&format!(
             "  final candidates    {:>10}{}\n",
@@ -460,7 +376,7 @@ impl TraceReport {
                 ""
             }
         ));
-        out.push_str("plan cache / maintenance\n");
+        out.push_str("plan cache\n");
         out.push_str(&format!(
             "  plan lookups        {:>10}\n",
             self.cache.plan_lookups
@@ -480,14 +396,6 @@ impl TraceReport {
         out.push_str(&format!(
             "  plan refreshes      {:>10}\n",
             self.cache.plan_refreshes
-        ));
-        out.push_str(&format!(
-            "  dirty frontier (Σ)  {:>10}\n",
-            self.cache.dirty_frontier
-        ));
-        out.push_str(&format!(
-            "  refreshes u/f/r     {:>4}/{:>4}/{:>4}\n",
-            self.cache.refresh_unchanged, self.cache.refresh_refiltered, self.cache.refresh_rebuilt
         ));
         out.push_str("cpi size\n");
         out.push_str(&format!(
@@ -543,13 +451,6 @@ impl TraceReport {
             self.build.unreachable_kills
         ));
         s.push_str(&format!(
-            "\"merge_hits\": {}, \"gallop_hits\": {}, \"bitset_hits\": {}, \"simd_hits\": {}, ",
-            self.build.merge_hits,
-            self.build.gallop_hits,
-            self.build.bitset_hits,
-            self.build.simd_hits
-        ));
-        s.push_str(&format!(
             "\"final_candidates\": {}, \"accounting_exact\": {}}},\n",
             self.build.final_candidates, self.build.accounting_exact
         ));
@@ -561,16 +462,12 @@ impl TraceReport {
             json_u32_array(&self.cpi.candidates_per_vertex)
         ));
         s.push_str(&format!(
-            "  \"cache\": {{\"plan_lookups\": {}, \"plan_hits\": {}, \"plan_misses\": {}, \"plan_evictions\": {}, \"plan_refreshes\": {}, \"dirty_frontier\": {}, \"refresh_unchanged\": {}, \"refresh_refiltered\": {}, \"refresh_rebuilt\": {}}},\n",
+            "  \"cache\": {{\"plan_lookups\": {}, \"plan_hits\": {}, \"plan_misses\": {}, \"plan_evictions\": {}, \"plan_refreshes\": {}}},\n",
             self.cache.plan_lookups,
             self.cache.plan_hits,
             self.cache.plan_misses,
             self.cache.plan_evictions,
-            self.cache.plan_refreshes,
-            self.cache.dirty_frontier,
-            self.cache.refresh_unchanged,
-            self.cache.refresh_refiltered,
-            self.cache.refresh_rebuilt
+            self.cache.plan_refreshes
         ));
         s.push_str("  \"workers\": [");
         for (i, w) in self.workers.iter().enumerate() {
@@ -578,7 +475,7 @@ impl TraceReport {
                 s.push_str(", ");
             }
             s.push_str(&format!(
-                "{{\"embeddings\": {}, \"nodes\": {}, \"nt_checks\": {}, \"backtracks\": {}, \"backjumps\": {}, \"steals\": {}, \"core_nodes\": {}, \"forest_nodes\": {}, \"leaf_nodes\": {}, \"leaf_ns\": {}, \"merge_hits\": {}, \"gallop_hits\": {}, \"bitset_hits\": {}, \"simd_hits\": {}, \"depth_hist\": {}}}",
+                "{{\"embeddings\": {}, \"nodes\": {}, \"nt_checks\": {}, \"backtracks\": {}, \"backjumps\": {}, \"steals\": {}, \"core_nodes\": {}, \"forest_nodes\": {}, \"leaf_nodes\": {}, \"leaf_ns\": {}, \"depth_hist\": {}}}",
                 w.embeddings,
                 w.nodes,
                 w.nt_checks,
@@ -589,10 +486,6 @@ impl TraceReport {
                 w.counters.forest_nodes,
                 w.counters.leaf_nodes,
                 w.counters.leaf_ns,
-                w.counters.merge_hits,
-                w.counters.gallop_hits,
-                w.counters.bitset_hits,
-                w.counters.simd_hits,
                 json_u64_array(&w.counters.depth_hist)
             ));
         }
@@ -731,10 +624,6 @@ mod tests {
         counters.add(BuildCounter::SnteKills, 3);
         counters.add(BuildCounter::RefineKills, 6);
         counters.add(BuildCounter::UnreachableKills, 1);
-        counters.add(BuildCounter::MergeHits, 8);
-        counters.add(BuildCounter::GallopHits, 2);
-        counters.add(BuildCounter::BitsetHits, 50);
-        counters.add(BuildCounter::SimdHits, 6);
         counters.add(BuildCounter::TopDownNs, 1_000_000);
         let mut build = counters.snapshot();
         build.final_candidates = 56;
@@ -753,10 +642,6 @@ mod tests {
                 plan_misses: 3,
                 plan_evictions: 1,
                 plan_refreshes: 2,
-                dirty_frontier: 17,
-                refresh_unchanged: 2,
-                refresh_refiltered: 3,
-                refresh_rebuilt: 1,
             },
             workers: vec![WorkerTrace {
                 embeddings: 7,
@@ -770,10 +655,6 @@ mod tests {
                     forest_nodes: 10,
                     leaf_nodes: 5,
                     leaf_ns: 500,
-                    merge_hits: 0,
-                    gallop_hits: 0,
-                    bitset_hits: 9,
-                    simd_hits: 0,
                     depth_hist: vec![20, 10, 5],
                 },
             }],
@@ -827,18 +708,11 @@ mod tests {
             "\"workers\"",
             "\"leaf_nodes\": 5",
             "\"backjumps\": 2",
-            "\"merge_hits\": 8",
-            "\"gallop_hits\": 2",
-            "\"bitset_hits\": 50",
-            "\"simd_hits\": 6",
-            "\"bitset_hits\": 9",
             "\"depth_hist\": [20, 10, 5]",
             "\"cache\"",
             "\"plan_lookups\": 12",
             "\"plan_hits\": 9",
             "\"plan_refreshes\": 2",
-            "\"dirty_frontier\": 17",
-            "\"refresh_refiltered\": 3",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
@@ -851,10 +725,7 @@ mod tests {
         assert!(t.contains("100"));
         assert!(t.contains("(= seeded − kills)"));
         assert!(t.contains("workers (1)"));
-        assert!(t.contains("kernel dispatch"));
-        // Build 50 + worker 9 bitset hits are summed in the table.
-        assert!(t.contains("bitset hits"));
-        assert!(t.contains("59"));
+        assert!(t.contains("embeddings 7 nodes 40"));
     }
 
     #[test]
@@ -864,12 +735,10 @@ mod tests {
             r.cache.plan_lookups,
             r.cache.plan_hits + r.cache.plan_misses
         );
-        assert_eq!(r.cache.total_refreshes(), 6);
         let t = r.render_table();
-        assert!(t.contains("plan cache / maintenance"));
+        assert!(t.contains("plan cache"));
         assert!(t.contains("plan lookups"));
-        assert!(t.contains("dirty frontier"));
-        assert!(t.contains("refreshes u/f/r"));
+        assert!(t.contains("plan refreshes"));
     }
 
     #[test]

@@ -34,11 +34,6 @@ use crate::report::Report;
 /// - `trace-backjump-bound`: per worker, failing-set backjump decisions
 ///   never exceed backtracks — a backjump is only taken after the unwind
 ///   of a mapped child, and each unwind records one backtrack.
-/// - `trace-kernel-dispatch`: SIMD kernel hits never exceed the total
-///   kernel dispatches (`simd_hits ≤ merge + gallop + bitset hits`) — a
-///   SIMD hit is recorded only when a dispatched merge or gallop takes
-///   the vector path, so the identity holds for the build counters and
-///   for every worker independently.
 /// - `trace-cache-accounting`: every plan-cache consultation resolves to
 ///   exactly one of hit or miss (`plan_lookups == plan_hits +
 ///   plan_misses`), and evictions never exceed the insertions misses can
@@ -103,20 +98,6 @@ pub fn check_trace(report: &TraceReport, total_embeddings: Option<u64>) -> Repor
         );
     }
 
-    let dispatched = b.merge_hits + b.gallop_hits + b.bitset_hits;
-    if b.simd_hits > dispatched {
-        out.violation(
-            "trace-kernel-dispatch",
-            None,
-            None,
-            format!(
-                "build recorded {} SIMD kernel hits but only {dispatched} dispatches \
-                 (merge {} + gallop {} + bitset {})",
-                b.simd_hits, b.merge_hits, b.gallop_hits, b.bitset_hits
-            ),
-        );
-    }
-
     let c = &report.cache;
     if c.plan_lookups != c.plan_hits + c.plan_misses {
         out.violation(
@@ -135,7 +116,8 @@ pub fn check_trace(report: &TraceReport, total_embeddings: Option<u64>) -> Repor
             None,
             None,
             format!(
-                "plan-cache evictions {} exceed misses {} (only a miss can insert,                  only an insert can evict)",
+                "plan-cache evictions {} exceed misses {} (only a miss can insert, \
+                 only an insert can evict)",
                 c.plan_evictions, c.plan_misses
             ),
         );
@@ -196,22 +178,6 @@ fn check_worker(out: &mut Report, index: usize, w: &WorkerTrace) {
                 "worker {index}: {} failing-set backjumps but only {} backtracks \
                  (a backjump decision follows the unwind of a mapped child)",
                 w.counters.backjumps, w.counters.backtracks
-            ),
-        );
-    }
-    let dispatched = w.counters.merge_hits + w.counters.gallop_hits + w.counters.bitset_hits;
-    if w.counters.simd_hits > dispatched {
-        out.violation(
-            "trace-kernel-dispatch",
-            None,
-            None,
-            format!(
-                "worker {index}: {} SIMD kernel hits but only {dispatched} dispatches \
-                 (merge {} + gallop {} + bitset {})",
-                w.counters.simd_hits,
-                w.counters.merge_hits,
-                w.counters.gallop_hits,
-                w.counters.bitset_hits
             ),
         );
     }
@@ -312,10 +278,6 @@ mod tests {
                 snte_kills: 3,
                 refine_kills: 2,
                 unreachable_kills: 0,
-                merge_hits: 6,
-                gallop_hits: 1,
-                bitset_hits: 40,
-                simd_hits: 5,
                 final_candidates: 60,
                 accounting_exact: true,
                 ..BuildTrace::default()
@@ -332,10 +294,6 @@ mod tests {
                 plan_misses: 4,
                 plan_evictions: 2,
                 plan_refreshes: 1,
-                dirty_frontier: 12,
-                refresh_unchanged: 1,
-                refresh_refiltered: 2,
-                refresh_rebuilt: 0,
             },
             ..TraceReport::default()
         };
@@ -351,10 +309,6 @@ mod tests {
                 forest_nodes: 4,
                 leaf_nodes: 0,
                 leaf_ns: 0,
-                merge_hits: 0,
-                gallop_hits: 0,
-                bitset_hits: 10,
-                simd_hits: 0,
                 depth_hist: vec![5, 4, 3],
             },
         });
@@ -407,22 +361,6 @@ mod tests {
         r.workers[0].counters.depth_hist = vec![5, 4, 2];
         let checked = check_trace(&r, Some(7));
         assert!(checked.has_check("trace-worker-nodes"), "{checked}");
-    }
-
-    #[test]
-    fn build_kernel_dispatch_identity_checked() {
-        let mut r = consistent_report();
-        r.build.simd_hits = r.build.merge_hits + r.build.gallop_hits + r.build.bitset_hits + 1;
-        let checked = check_trace(&r, Some(7));
-        assert!(checked.has_check("trace-kernel-dispatch"), "{checked}");
-    }
-
-    #[test]
-    fn worker_kernel_dispatch_identity_checked() {
-        let mut r = consistent_report();
-        r.workers[0].counters.simd_hits = 11;
-        let checked = check_trace(&r, Some(7));
-        assert!(checked.has_check("trace-kernel-dispatch"), "{checked}");
     }
 
     #[test]

@@ -19,11 +19,9 @@
 //!    until a model exists.
 //!
 //! The rules apply per crate (see [`CRATES`]): `cfl-match` carries all
-//! three; `cfl-graph` joined the pass when its SIMD intersection kernels
-//! introduced the workspace's only other sanctioned `unsafe` — it has no
-//! loom shim (no sync-shim rule) and an *empty* Relaxed allowlist, so any
-//! `Ordering::Relaxed` there is a violation (the kernel-mode switch uses
-//! Acquire/Release).
+//! three; `cfl-graph` has no loom shim (no sync-shim rule) and *empty*
+//! unsafe and Relaxed allowlists, so any `unsafe` or `Ordering::Relaxed`
+//! there is a violation.
 //!
 //! `#[cfg(test)]` modules are exempt from all three rules: std-only unit
 //! tests intentionally use `std::thread`/`std::sync` directly so they
@@ -68,13 +66,12 @@ const CORE_RULES: CrateRules = CrateRules {
     ],
 };
 
-/// `cfl-graph`: `unsafe` is confined to the SIMD kernel backends, whose
-/// intrinsics carry per-site SAFETY comments and a scalar differential
-/// oracle; no loom shim, and no Relaxed anywhere.
+/// `cfl-graph`: safe code only — no `unsafe`, no loom shim, and no
+/// Relaxed anywhere.
 const GRAPH_RULES: CrateRules = CrateRules {
     dir: "crates/graph",
     sync_shim: None,
-    unsafe_allowlist: &["src/intersect/simd_x86.rs", "src/intersect/simd_neon.rs"],
+    unsafe_allowlist: &[],
     relaxed_allowlist: &[],
 };
 
@@ -584,28 +581,22 @@ mod tests {
 
     #[test]
     fn graph_rules_gate_unsafe_and_relaxed() {
-        // The SIMD backends may hold commented unsafe; any other graph
-        // file may not hold unsafe at all.
-        let good = "/// # Safety\n/// Caller checked AVX2.\nunsafe fn k() {}\n";
-        let v = lint_str_with("src/intersect/simd_x86.rs", good, &GRAPH_RULES);
-        assert!(v.is_empty(), "commented unsafe in a SIMD backend: {v:?}");
-        let v = lint_str_with("src/bitset.rs", good, &GRAPH_RULES);
-        assert!(
-            v.iter().any(|v| v.rule == "unsafe-allowlist"),
-            "expected an allowlist violation, got {v:?}"
-        );
+        // No graph file may hold unsafe, not even with a Safety section.
+        let commented = "/// # Safety\n/// Caller checked the bounds.\nunsafe fn k() {}\n";
+        for file in ["src/bitset.rs", "src/intersect.rs"] {
+            let v = lint_str_with(file, commented, &GRAPH_RULES);
+            assert!(
+                v.iter().any(|v| v.rule == "unsafe-allowlist"),
+                "expected an allowlist violation in {file}, got {v:?}"
+            );
+        }
         // No graph file is loom-modeled, so Relaxed is banned everywhere.
-        let v = lint_str_with(
-            "src/intersect/mod.rs",
-            &fixture("bad_relaxed.rs"),
-            &GRAPH_RULES,
-        );
+        let v = lint_str_with("src/intersect.rs", &fixture("bad_relaxed.rs"), &GRAPH_RULES);
         assert!(
             v.iter().any(|v| v.rule == "relaxed-ordering"),
             "expected a relaxed-ordering violation, got {v:?}"
         );
-        // ... and without a shim, `std::sync` is fine (the kernel-mode
-        // switch is a plain atomic at Acquire/Release).
+        // ... and without a shim, `std::sync` is fine.
         assert!(v.iter().all(|v| v.rule != "sync-shim"));
     }
 
