@@ -25,7 +25,7 @@
 //! identity `cfl-verify` checks.
 //!
 //! Plans outlive a delta only through [`PlanCache::refresh`], which keeps
-//! an entry when [`plan_survives_delta`] proves its CPI bit-identical to a
+//! an entry when `plan_survives_delta` proves its CPI bit-identical to a
 //! cold rebuild against the successor graph and drops it otherwise.
 
 use cfl_graph::{canonical_query, AppliedDelta, CanonicalQuery, Graph, VertexId};
@@ -262,7 +262,7 @@ impl PlanCache {
 
     /// Carries resident plans across a delta instead of letting the epoch
     /// bump orphan them. For each entry keyed to the pre-delta epoch the
-    /// cache runs the retention proof ([`plan_survives_delta`]) and on
+    /// cache runs the retention proof (`plan_survives_delta`) and on
     /// success stamps the entry with the new epoch in place (`Arc`-shared
     /// arenas untouched), so the next lookup against the successor graph
     /// hits without a cold prepare. Entries the proof cannot cover are

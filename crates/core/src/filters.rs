@@ -218,35 +218,28 @@ impl<'a> FilterContext<'a> {
         self.g.label(v) == self.q.label(u) && self.g.degree(v) >= self.q.degree(u)
     }
 
-    /// The CandVerify computation proper: MND filter then NLF filter,
-    /// reporting the verdict plus stage attribution for failures.
-    #[inline]
-    fn cand_verify_compute(&self, v: VertexId, u: VertexId) -> Verdict {
-        cand_verify_stats(self.q_stats, self.g_stats, self.options, v, u)
-    }
-
     /// `CandVerify` (Algorithm 6): MND filter then NLF filter. Assumes the
     /// label + degree pre-filter already passed.
     ///
     /// The NLF test goes through the packed 64-bit summaries first: one
     /// AND+compare rejects most non-candidates, and when the query vertex's
-    /// summary is exact (≤ 16 labels, per-label counts ≤ 4 — the common
+    /// summary is exact (neighbor labels < 16, per-label counts ≤ 4 — the common
     /// case for the paper's workloads) it also *accepts* without ever
     /// touching the `(label, count)` merge scan.
     #[inline]
     pub fn cand_verify(&self, v: VertexId, u: VertexId) -> bool {
-        self.cand_verify_compute(v, u).passed
+        cand_verify_stats(self.q_stats, self.g_stats, self.options, v, u).passed
     }
 
     /// Like [`cand_verify`](Self::cand_verify) but reporting *which* stage
     /// rejected the probe. Trace-only: the stage split exists so kill
     /// counters can attribute prunes to the MND vs. NLF filter. The keep
     /// decision is `result.is_ok()`, and the verdict comes from the same
-    /// `cand_verify_compute`, so classification never changes which
+    /// [`cand_verify_stats`], so classification never changes which
     /// candidates survive.
     #[cfg(feature = "trace")]
     fn cand_verify_stage(&self, v: VertexId, u: VertexId) -> Result<(), FilterStage> {
-        match self.cand_verify_compute(v, u) {
+        match cand_verify_stats(self.q_stats, self.g_stats, self.options, v, u) {
             Verdict { passed: true, .. } => Ok(()),
             Verdict {
                 failed_at_mnd: true,

@@ -9,11 +9,10 @@
 //!   *crashes*), while the CPI stays `O(|E(G)|·|V(q)|)`.
 //! * [`triangle_fan`], [`power_law_wedge`], [`dense_circulant`] — the
 //!   kernel stress sweep ([`kernel_stress_suite`]): instances whose
-//!   adjacency rows land the `cfl_graph::intersect` dispatcher in each of
-//!   its regimes (long similar-length rows → merge/SIMD merge, wildly
-//!   skewed row lengths → gallop, dense single-label candidate sets →
-//!   bitset) so benchmarks and differential tests exercise every kernel
-//!   on CPI-shaped inputs rather than synthetic arrays alone.
+//!   candidate adjacency rows are long and similar-length, wildly skewed
+//!   in length, or dense over a single label, so benchmarks exercise the
+//!   bitset kernels and enumeration on CPI-shaped inputs rather than
+//!   synthetic arrays alone.
 
 use cfl_graph::{Graph, GraphBuilder, Label};
 
@@ -161,8 +160,8 @@ pub fn triangle_fan(num_hubs: u32, ring: u32) -> (Graph, Graph) {
 /// harmonic power law (`probe i` connects to `pool / (i + 1)` A vertices
 /// of a shared pool), so candidate adjacency rows range from `pool` long
 /// down to a handful. The query is the B–A–B wedge: matching intersects
-/// the long head rows with the short tail rows — the galloping regime —
-/// while same-label pools keep candidate sets dense.
+/// the long head rows with the short tail rows, while same-label pools
+/// keep candidate sets dense.
 pub fn power_law_wedge(num_probes: u32, pool: u32) -> (Graph, Graph) {
     assert!(num_probes >= 2 && pool >= 2);
     let q = cfl_graph::graph_from_edges(&[1, 0, 1], &[(0, 1), (1, 2)])
@@ -174,7 +173,7 @@ pub fn power_law_wedge(num_probes: u32, pool: u32) -> (Graph, Graph) {
         let p = b.add_vertex(B);
         let deg = (pool / (i + 1)).max(1);
         // Stride the pool so short rows are spread across the long rows'
-        // value range (worst case for galloping's window widening).
+        // value range.
         let stride = (pool / deg).max(1);
         for k in 0..deg {
             b.add_edge(p, shared[((k * stride) % pool) as usize]);

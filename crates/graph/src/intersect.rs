@@ -11,7 +11,7 @@
 //! All three work a 64-bit word at a time: one word load answers a whole
 //! run of same-word keys, and all-zero (or, for the difference, all-one)
 //! words skip their runs outright. Value-sparse key lists (under one key
-//! per word on average, see [`dense_runs`]) sidestep the run grouping with
+//! per word on average, see `dense_runs`) sidestep the run grouping with
 //! a plain per-key bit test. The set side is reused across many calls —
 //! the CPI build probes the same candidate mask once per parent candidate
 //! — so its `O(|C|)` setup amortizes to nothing.

@@ -153,11 +153,29 @@ pub struct NlfIndex {
 }
 
 /// Per-label thresholds encoded in the packed signature: label `l` with
-/// count `c` sets bits `(l * 4 + t) & 63` for `t < min(c, 4)`.
+/// count `c` sets bits `l * 4 + t` for `t < min(c, 4)`.
 const PACKED_THRESHOLDS: u32 = 4;
 
-/// Labels representable without field wraparound: `64 / PACKED_THRESHOLDS`.
-const PACKED_LABELS: usize = 64 / PACKED_THRESHOLDS as usize;
+/// Labels with a field in the packed signature: `64 / PACKED_THRESHOLDS`.
+const PACKED_LABELS: u32 = 64 / PACKED_THRESHOLDS;
+
+/// The packed-signature bits for `c` neighbors carrying label `l`: the low
+/// `min(c, 4)` bits of label `l`'s 4-bit field. Labels ≥ 16 have no field
+/// — wrapping them onto `l mod 16` would alias another label's counts —
+/// so they set nothing, on the query side and the data side alike.
+#[inline]
+fn packed_bits(l: u32, c: u32) -> u64 {
+    if l >= PACKED_LABELS {
+        return 0;
+    }
+    ((1u64 << c.min(PACKED_THRESHOLDS)) - 1) << (l * PACKED_THRESHOLDS)
+}
+
+/// Whether the packed field captures the `(l, c)` signature entry exactly.
+#[inline]
+fn packed_captures(l: u32, c: u32) -> bool {
+    l < PACKED_LABELS && c <= PACKED_THRESHOLDS
+}
 
 /// Below this label-count, finalizing a vertex scans the whole scratch
 /// counter array (sequential, sorted for free) instead of collecting and
@@ -190,7 +208,6 @@ impl NlfIndex {
         let mut exact = Vec::with_capacity(nv);
         let mut mnd = vec![0u32; nv];
         offsets.push(0u32);
-        let exact_possible = nl <= PACKED_LABELS;
         for v in g.vertices() {
             let dense = nl <= DENSE_LABEL_SCAN || nl <= 4 * g.degree(v);
             let mut md = 0u32;
@@ -204,15 +221,11 @@ impl NlfIndex {
             }
             mnd[v as usize] = md;
             let mut sig_packed = 0u64;
-            let mut sig_exact = exact_possible;
+            let mut sig_exact = true;
             let mut emit = |l: u32, c: u32| {
                 entries.push((Label(l), c));
-                sig_exact &= c <= PACKED_THRESHOLDS;
-                // Threshold fields never straddle the 64-bit wraparound
-                // (field starts are multiples of 4), so the per-threshold
-                // bits collapse to one shifted mask.
-                sig_packed |=
-                    ((1u64 << c.min(PACKED_THRESHOLDS)) - 1) << ((l * PACKED_THRESHOLDS) & 63);
+                sig_exact &= packed_captures(l, c);
+                sig_packed |= packed_bits(l, c);
             };
             if dense {
                 for l in 0..nl as u32 {
@@ -258,7 +271,6 @@ impl NlfIndex {
             is_touched[v as usize] = true;
         }
         let mut scratch = vec![0u32; nl];
-        let exact_possible = nl <= PACKED_LABELS;
         let mut offsets = Vec::with_capacity(nv + 1);
         let mut entries = Vec::with_capacity(self.entries.len());
         let mut packed = self.packed.clone();
@@ -270,15 +282,14 @@ impl NlfIndex {
                     scratch[g.label(w).index()] += 1;
                 }
                 let mut sig_packed = 0u64;
-                let mut sig_exact = exact_possible;
+                let mut sig_exact = true;
                 for l in 0..nl as u32 {
                     let c = scratch[l as usize];
                     if c != 0 {
                         scratch[l as usize] = 0;
                         entries.push((Label(l), c));
-                        sig_exact &= c <= PACKED_THRESHOLDS;
-                        sig_packed |= ((1u64 << c.min(PACKED_THRESHOLDS)) - 1)
-                            << ((l * PACKED_THRESHOLDS) & 63);
+                        sig_exact &= packed_captures(l, c);
+                        sig_packed |= packed_bits(l, c);
                     }
                 }
                 packed[v as usize] = sig_packed;
@@ -311,25 +322,27 @@ impl NlfIndex {
         }
     }
 
-    /// Packed 64-bit NLF summary of `v`: label `l` with count `c` sets bits
-    /// `(l * 4 + t) & 63` for thresholds `t < min(c, 4)`.
+    /// Packed 64-bit NLF summary of `v`: label `l < 16` with count `c`
+    /// sets bits `l * 4 + t` for thresholds `t < min(c, 4)`; labels ≥ 16
+    /// are left out.
     ///
     /// [`packed_dominates`](Self::packed_dominates) over two summaries is a
     /// *necessary* condition for [`dominates`](Self::dominates): domination
-    /// implies per-label threshold-bit containment, and the union over
-    /// labels preserves the subset relation even when fields wrap. It is
-    /// also *sufficient* when the query-side signature reports
-    /// [`packed_exact`](Self::packed_exact).
+    /// implies threshold-bit containment in every label's field. It is also
+    /// *sufficient* when the query-side signature reports
+    /// [`packed_exact`](Self::packed_exact): every query label then owns a
+    /// field no other label writes, on the data side too.
     #[inline]
     pub fn packed(&self, v: VertexId) -> u64 {
         self.packed[v as usize]
     }
 
-    /// Whether the packed summary of `v` captures its full signature: all
-    /// labels fit disjoint 4-bit fields (≤ 16 labels in the graph) and every
-    /// per-label count is ≤ 4. For such a query vertex,
-    /// [`packed_dominates`](Self::packed_dominates) is exact and the merge
-    /// scan can be skipped entirely.
+    /// Whether the packed summary of `v` captures its full signature: every
+    /// label in it is < 16 (so it has a field) and every per-label count is
+    /// ≤ 4. For such a query vertex,
+    /// [`packed_dominates`](Self::packed_dominates) is exact against any
+    /// data vertex, whatever labels the data graph uses, and the merge scan
+    /// can be skipped entirely.
     #[inline]
     pub fn packed_exact(&self, v: VertexId) -> bool {
         self.exact[v as usize]
@@ -887,12 +900,37 @@ mod tests {
 
     #[test]
     fn packed_not_exact_with_many_labels() {
-        // 17 labels force field wraparound: no vertex is packed-exact.
+        // A star over 17 labels: the center sees label 16, which has no
+        // field, so only its summary is inexact. Each leaf sees one label-0
+        // neighbor and stays exact whatever labels the graph holds.
         let labels: Vec<u32> = (0..17).collect();
         let edges: Vec<(u32, u32)> = (1..17).map(|i| (0, i)).collect();
         let g = graph_from_edges(&labels, &edges).unwrap();
         let nlf = NlfIndex::build(&g);
-        assert!(g.vertices().all(|v| !nlf.packed_exact(v)));
+        assert!(!nlf.packed_exact(0));
+        assert!((1..17).all(|v| nlf.packed_exact(v)));
+        assert_eq!(nlf.packed(0) >> 60, 0b1, "label 15's field, no wrap");
+    }
+
+    #[test]
+    fn packed_fields_do_not_alias_across_graphs() {
+        // Query: u0 (label 0) needs two label-2 neighbors — ≤ 16 labels, so
+        // its summary is exact. Data: v0 has one label-2 neighbor and two
+        // label-18 ones. Folded modulo 16, label 18 would fill label 2's
+        // field and the packed test would wrongly accept v0.
+        let q = graph_from_edges(&[0, 2, 2], &[(0, 1), (0, 2)]).unwrap();
+        let g = graph_from_edges(&[0, 2, 18, 18], &[(0, 1), (0, 2), (0, 3)]).unwrap();
+        let (qn, gn) = (NlfIndex::build(&q), NlfIndex::build(&g));
+        assert!(qn.packed_exact(0));
+        assert!(!NlfIndex::dominates(gn.signature(0), qn.signature(0)));
+        assert!(!NlfIndex::packed_dominates(gn.packed(0), qn.packed(0)));
+        // Every label l ≥ 16 on the data side leaves the summary untouched.
+        for l in 16..40 {
+            let g = graph_from_edges(&[0, 2, l, l], &[(0, 1), (0, 2), (0, 3)]).unwrap();
+            let gn = NlfIndex::build(&g);
+            assert_eq!(gn.packed(0), 0b1 << 8, "label {l}");
+            assert!(!NlfIndex::packed_dominates(gn.packed(0), qn.packed(0)));
+        }
     }
 
     #[test]
