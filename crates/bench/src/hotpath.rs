@@ -623,8 +623,7 @@ pub fn measure_split(
 
 /// A full suite run: every tracked measurement, by name. `threads` is the
 /// CPI build-thread count used by `cpi_build` and the end-to-end pipeline
-/// (enumeration itself stays single-threaded here; the parallel matcher
-/// has its own benchmark).
+/// (enumeration is always single-threaded).
 pub fn run_suite(quick: bool, threads: usize) -> Vec<(&'static str, Measurement)> {
     run_suite_with(quick, threads, OrderingKind::StaticPath, PruningKind::Plain)
 }

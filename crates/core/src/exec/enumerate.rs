@@ -75,8 +75,8 @@ pub(crate) struct Enumerator<'a, 's, O: OrderingStrategy, P: PruningStrategy> {
     pub emitted: u64,
     pub nodes: u64,
     pub nt_checks: u64,
-    /// Hot-path trace counters (backtracks, steals, depth histogram,
-    /// core/forest split, leaf time). Only present — and only bumped —
+    /// Hot-path trace counters (backtracks, depth histogram, core/forest
+    /// split, leaf time). Only present — and only bumped —
     /// under the `trace` feature, so default builds keep the enumerator's
     /// exact memory layout and instruction stream.
     #[cfg(feature = "trace")]
@@ -157,58 +157,6 @@ impl<'a, 's, O: OrderingStrategy, P: PruningStrategy> Enumerator<'a, 's, O, P> {
         match self.extend(0) {
             ControlFlow::Continue(()) => MatchOutcome::Complete,
             ControlFlow::Break(Stop) => self.stop_outcome(),
-        }
-    }
-
-    /// Like [`run`](Self::run), but pulling root-candidate positions from a
-    /// shared atomic cursor — the work-stealing hook for parallel
-    /// enumeration. Each `fetch_add` claims the next unexplored root
-    /// candidate, so workers that finish cheap subtrees immediately steal
-    /// the next one instead of idling behind a static partition; the search
-    /// subtrees rooted at distinct root candidates are disjoint, so no
-    /// other coordination is needed. (Failing sets never span roots either:
-    /// the root is in every deeper failing set, so a backjump cannot cross
-    /// depth 0 — all pruning state stays worker-private.)
-    ///
-    /// `Relaxed` suffices for the claim `fetch_add`: an atomic
-    /// read-modify-write yields each participant a distinct value of the
-    /// cursor's modification order at *any* ordering, so no root candidate
-    /// is ever claimed twice or skipped, and the claimed position only
-    /// indexes immutable shared state (the CPI root row). Results flow
-    /// back through channel/join synchronization, not through the cursor.
-    /// The `cursor_claims_exactly_once` and `cursor_overshoot_is_bounded`
-    /// models in `crate::models` check both properties (claim uniqueness,
-    /// and ≤ 1 over-the-end claim per worker) under every schedule.
-    pub(crate) fn run_stealing(
-        &mut self,
-        cursor: &crate::sync::atomic::AtomicU64,
-        num_roots: usize,
-    ) -> MatchOutcome {
-        if self.max_embeddings == 0 {
-            return MatchOutcome::LimitReached;
-        }
-        debug_assert!(self
-            .plan
-            .vertices
-            .first()
-            .is_none_or(|ov| ov.parent.is_none()));
-        loop {
-            let pos = cursor.fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
-            if pos >= num_roots as u64 {
-                return MatchOutcome::Complete;
-            }
-            #[cfg(feature = "trace")]
-            {
-                self.tr.steals += 1;
-            }
-            // Slot 0 is always the root; a sibling-skip signal at depth 0
-            // is ignored — root subtrees are partitioned by the cursor,
-            // and root-level skips never fire (the root is in every
-            // failing set below it).
-            match self.try_candidate(0, 0, pos as u32) {
-                ControlFlow::Continue(_) => {}
-                ControlFlow::Break(Stop) => return self.stop_outcome(),
-            }
         }
     }
 

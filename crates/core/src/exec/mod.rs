@@ -3,10 +3,12 @@
 //! `CFL-Match(q, G)`: decompose the query (§3), build the CPI (§5), compute
 //! the matching order (§4.2.1), then enumerate embeddings core-first,
 //! forest-second, leaves-last (§4.2.2–§4.4).
+//!
+//! The free functions here are one-shot shorthands for a throwaway
+//! [`DataGraph`] session, which is the only code that runs a query.
 
 mod enumerate;
 mod leaf;
-pub mod parallel;
 pub mod strategy;
 
 use std::time::Instant;
@@ -21,13 +23,13 @@ use crate::filters::{FilterContext, GraphStats};
 use crate::order::{compute_order_with, OrderPlan};
 use crate::result::{Embedding, MatchReport, MatchStats};
 use crate::root::select_root_with_candidates;
+use crate::session::DataGraph;
 use crate::sync::Arc;
 
 use enumerate::Enumerator;
 use strategy::dispatch_strategies;
 
 pub use enumerate::CANCEL_QUANTUM;
-pub use parallel::{collect_embeddings_parallel, count_embeddings_parallel};
 
 /// A borrowed embedding sink: receives each mapping (indexed by query
 /// vertex) and returns `false` to stop the search.
@@ -40,16 +42,16 @@ pub fn find_embeddings(
     q: &Graph,
     g: &Graph,
     config: &MatchConfig,
-    mut sink: impl FnMut(&[VertexId]) -> bool,
+    sink: impl FnMut(&[VertexId]) -> bool,
 ) -> Result<MatchReport, Error> {
-    run(q, g, config, Some(&mut sink))
+    DataGraph::new(g).find_embeddings(q, config, sink)
 }
 
 /// Counts embeddings of `q` in `G` without materializing them. Leaf-match
 /// counts label-class assignments combinatorially (combinations × NEC
 /// permutations) instead of expanding each embedding, per §4.4.
 pub fn count_embeddings(q: &Graph, g: &Graph, config: &MatchConfig) -> Result<MatchReport, Error> {
-    run(q, g, config, None)
+    DataGraph::new(g).count_embeddings(q, config)
 }
 
 /// Convenience: collects up to the budget's embeddings into a `Vec`.
@@ -58,14 +60,7 @@ pub fn collect_embeddings(
     g: &Graph,
     config: &MatchConfig,
 ) -> Result<(Vec<Embedding>, MatchReport), Error> {
-    let mut out = Vec::new();
-    let report = find_embeddings(q, g, config, |m| {
-        out.push(Embedding {
-            mapping: m.to_vec(),
-        });
-        true
-    })?;
-    Ok((out, report))
+    DataGraph::new(g).collect_embeddings(q, config)
 }
 
 /// Everything the engine prepared before enumeration; exposed so that the
@@ -93,9 +88,7 @@ impl Prepared {
 /// Runs validation, root selection, decomposition, CPI construction and
 /// ordering — the paper's "query vertex ordering" phase.
 pub fn prepare(q: &Graph, g: &Graph, config: &MatchConfig) -> Result<Prepared, Error> {
-    // Memoized on the graph, so this is free after the first query.
-    let g_stats = GraphStats::build(g);
-    prepare_with(q, g, &g_stats, config)
+    DataGraph::new(g).prepare(q, config)
 }
 
 /// The root-selection candidate pool (§A.6): the query's 2-core when it is
@@ -114,9 +107,8 @@ pub(crate) fn root_eligible(q: &Graph, mode: DecompositionMode) -> Vec<VertexId>
 }
 
 /// [`prepare`] against prebuilt data-side statistics — the single
-/// preparation pipeline shared by the one-shot API and
-/// [`DataGraph`](crate::session::DataGraph) sessions (so instrumentation
-/// and validation hooks exist exactly once).
+/// preparation pipeline, called only by [`DataGraph::prepare`] (so
+/// instrumentation and validation hooks exist exactly once).
 pub(crate) fn prepare_with(
     q: &Graph,
     g: &Graph,
@@ -221,24 +213,12 @@ pub(crate) fn prepare_with(
     Ok(prepared)
 }
 
-fn run(
-    q: &Graph,
-    g: &Graph,
-    config: &MatchConfig,
-    sink: SinkRef<'_>,
-) -> Result<MatchReport, Error> {
-    let prepared = prepare(q, g, config)?;
-    Ok(enumerate_prepared(q, g, &prepared, config, sink))
-}
-
-/// Runs the enumeration phase over an already-prepared query. Shared by
-/// the one-shot API and [`DataGraph`](crate::session::DataGraph) sessions.
-/// Borrows the
-/// preparation (cloning its stats into the report) so an amortized caller
-/// can enumerate the same CPI repeatedly. Only `config`'s enumeration-side
-/// knobs (budget, ordering, pruning) are consulted: a preparation is
-/// strategy-independent, so the same `Prepared` can be raced under every
-/// strategy combination.
+/// Runs the enumeration phase over an already-prepared query; called only
+/// by [`DataGraph`] sessions. Borrows the preparation (cloning its stats
+/// into the report) so a plan-cache hit can enumerate the same CPI
+/// repeatedly. Only `config`'s enumeration-side knobs (budget, ordering,
+/// pruning) are consulted: a preparation is strategy-independent, so the
+/// same `Prepared` can be raced under every strategy combination.
 pub(crate) fn enumerate_prepared(
     q: &Graph,
     g: &Graph,

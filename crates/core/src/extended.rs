@@ -3,42 +3,29 @@
 //! [`cfl_graph::transform`] plus the ordinary CFL-Match engine.
 
 use cfl_graph::transform::{encode, EdgeListGraph, EncodingSpace};
-use cfl_graph::VertexId;
 
 use crate::config::MatchConfig;
 use crate::error::Error;
 use crate::result::{Embedding, MatchReport};
+use crate::session::DataGraph;
 
-/// Enumerates embeddings of the edge-labeled (and optionally directed)
+/// Collects the embeddings of the edge-labeled (and optionally directed)
 /// query `q` in data graph `g`: mappings of *original* query vertices that
 /// preserve vertex labels, edge labels, and (when `directed`) edge
 /// orientation.
-pub fn find_embeddings_extended(
-    q: &EdgeListGraph,
-    g: &EdgeListGraph,
-    directed: bool,
-    config: &MatchConfig,
-    mut sink: impl FnMut(&[VertexId]) -> bool,
-) -> Result<MatchReport, Error> {
-    let space = EncodingSpace::covering(q, g, directed);
-    let eq = encode(q, &space);
-    let eg = encode(g, &space);
-    crate::exec::find_embeddings(&eq.graph, &eg.graph, config, |mapping| {
-        sink(eq.project(mapping))
-    })
-}
-
-/// Collects embeddings (projected to original query vertices).
 pub fn collect_embeddings_extended(
     q: &EdgeListGraph,
     g: &EdgeListGraph,
     directed: bool,
     config: &MatchConfig,
 ) -> Result<(Vec<Embedding>, MatchReport), Error> {
+    let space = EncodingSpace::covering(q, g, directed);
+    let eq = encode(q, &space);
+    let eg = encode(g, &space);
     let mut out = Vec::new();
-    let report = find_embeddings_extended(q, g, directed, config, |m| {
+    let report = DataGraph::new(&eg.graph).find_embeddings(&eq.graph, config, |m| {
         out.push(Embedding {
-            mapping: m.to_vec(),
+            mapping: eq.project(m).to_vec(),
         });
         true
     })?;

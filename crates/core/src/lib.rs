@@ -58,7 +58,6 @@ pub mod result;
 pub mod root;
 pub mod serve;
 pub mod session;
-pub mod stream;
 pub(crate) mod sync;
 #[cfg(feature = "validate")]
 pub mod validate;
@@ -74,11 +73,8 @@ pub use decompose::{
     forest_independent_set, is_independent_set, CflDecomposition, ForestTree, Role,
 };
 pub use error::Error;
-pub use exec::{
-    collect_embeddings, collect_embeddings_parallel, count_embeddings, count_embeddings_parallel,
-    find_embeddings, prepare, Prepared,
-};
-pub use extended::{collect_embeddings_extended, find_embeddings_extended};
+pub use exec::{collect_embeddings, count_embeddings, find_embeddings, prepare, Prepared};
+pub use extended::collect_embeddings_extended;
 pub use filters::{FilterContext, FilterOptions, GraphStats};
 pub use order::{compute_order, compute_order_with, OrderPlan, OrderedVertex};
 pub use result::{Embedding, EmbeddingChecksum, MatchOutcome, MatchReport, MatchStats};
@@ -90,6 +86,5 @@ pub use serve::{Engine, EngineConfig, QueryEvent, QueryHandle, QuerySpec, Server
 pub use cfl_trace::{BuildTrace, CpiMetrics, TraceReport, WorkerTrace};
 pub use root::{select_root, select_root_with_candidates};
 pub use session::DataGraph;
-pub use stream::EmbeddingStream;
 #[cfg(feature = "validate")]
 pub use validate::verify_prepared;

@@ -10,8 +10,8 @@
 //!
 //! * **protocol models** drive the *real* implementation — the worker
 //!   pool's offer/park/claim/finish protocol via [`pool::hooks`] and the
-//!   work-stealing claim cursor — and assert its documented invariants on
-//!   every schedule;
+//!   claim cursor of its steal loop — and assert its documented invariants
+//!   on every schedule;
 //! * **seeded-bug models** (`seeded_*`) inject a representative bug
 //!   (dropped notify, non-atomic claim) into a copy of the protocol shape
 //!   and assert the checker *fails*, guarding against the model harness
@@ -108,9 +108,9 @@ fn worker_panic_cleanup_no_deadlock() {
     });
 }
 
-/// The work-stealing claim cursor (`Enumerator::run_stealing`): a Relaxed
-/// `fetch_add` RMW hands every participant a distinct position, so each
-/// root candidate is claimed exactly once on every schedule.
+/// The claim cursor of the pool's steal loop (`pool::steal_loop`): a
+/// Relaxed `fetch_add` RMW hands every participant a distinct position, so
+/// each task index is claimed exactly once on every schedule.
 #[test]
 fn cursor_claims_exactly_once() {
     model(|| {
@@ -135,16 +135,16 @@ fn cursor_claims_exactly_once() {
             assert_eq!(
                 hit.load(Ordering::SeqCst),
                 1,
-                "root candidate {i} not claimed exactly once"
+                "task index {i} not claimed exactly once"
             );
         }
     });
 }
 
-/// Companion bound to the claim model (the documented budget/overshoot
-/// argument in `exec/parallel.rs`): each participant performs at most one
+/// Companion bound to the claim model (the overshoot argument documented
+/// on `pool::steal_loop`): each participant performs at most one
 /// over-the-end `fetch_add` before exiting its steal loop, so the cursor's
-/// final value never exceeds `num_roots + participants` on any schedule.
+/// final value never exceeds `n + participants` on any schedule.
 #[test]
 fn cursor_overshoot_is_bounded() {
     model(|| {

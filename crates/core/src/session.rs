@@ -1,12 +1,18 @@
-//! Multi-query sessions: index a data graph once, run many queries.
+//! The one way to run a query: a [`DataGraph`] session.
 //!
-//! The engine's one-shot entry points ([`find_embeddings`](crate::find_embeddings),
-//! [`count_embeddings`](crate::count_embeddings)) rebuild the data-graph
-//! side statistics (label index, NLF signatures, maximum neighbor degrees)
-//! on every call — `O(|V(G)| + |E(G)|)` work that is query-independent. A
-//! [`DataGraph`] hoists that cost so query workloads pay only per-query
-//! costs (CPI construction, ordering, enumeration), matching how the
-//! paper's evaluation treats dataset preprocessing.
+//! Every entry point that runs a query goes through a session: the
+//! one-shot functions ([`find_embeddings`](crate::find_embeddings),
+//! [`count_embeddings`](crate::count_embeddings),
+//! [`collect_embeddings`](crate::collect_embeddings),
+//! [`prepare`](crate::prepare)) open a throwaway `DataGraph`, and every
+//! `cfl serve` query opens one over its graph snapshot, attaching a plan
+//! cache that outlives the query under `--plan-cache`. A session is the
+//! only caller of the preparation pipeline (validation, root selection,
+//! decomposition, CPI, ordering) and of the single-threaded enumerator,
+//! so instrumentation, validation and the plan-cache remap exist exactly
+//! once. Opening a session is cheap: the data-side statistics (label
+//! index, NLF signatures, MND) are memoized on the graph, so only the
+//! first query against a graph pays their `O(|V(G)| + |E(G)|)` build.
 
 use std::time::Instant;
 
@@ -44,7 +50,8 @@ enum Planned {
 
 impl<'g> DataGraph<'g> {
     /// Indexes `g` (label index, NLF signatures, MND) in
-    /// `O(|V(G)| + |E(G)|)`.
+    /// `O(|V(G)| + |E(G)|)` on the first session over `g`; later sessions
+    /// reuse the tables memoized on the graph.
     pub fn new(g: &'g Graph) -> Self {
         DataGraph {
             graph: g,
@@ -86,11 +93,8 @@ impl<'g> DataGraph<'g> {
 
     /// Runs the preparation phase (validation, root selection,
     /// decomposition, CPI, ordering) for one query against this session.
-    ///
-    /// Delegates to the same pipeline as the one-shot API — only the
-    /// data-side statistics differ (this session's prebuilt tables are
-    /// passed instead of being fetched per call), so instrumentation and
-    /// validation behave identically on both paths.
+    /// Bypasses the plan cache; the one-shot [`prepare`](crate::prepare)
+    /// is this method on a fresh session.
     pub fn prepare(&self, q: &Graph, config: &MatchConfig) -> Result<Prepared, Error> {
         crate::exec::prepare_with(q, self.graph, &self.stats, config)
     }

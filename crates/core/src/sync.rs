@@ -13,14 +13,13 @@
 //! Three groups:
 //!
 //! * **cfg-switched** (`Mutex`, `Condvar`, `MutexGuard`, `atomic::*`,
-//!   `thread::{spawn, Builder, JoinHandle, yield_now}`) — the primitives
-//!   whose interleavings the models check.
-//! * **always-`std`** (`Arc`, `OnceLock`, `PoisonError`, `LockResult`,
-//!   `thread::{scope, available_parallelism}`) — either interleaving-
-//!   insensitive (immutable after publication) or never exercised inside a
-//!   model (scoped enumeration workers; models drive the enumeration
-//!   cursor protocol directly instead).
-//! * the `loom-model`-only re-export of [`loom::model`] for the models.
+//!   `thread::{Builder, JoinHandle}`) — the primitives whose
+//!   interleavings the models check.
+//! * **always-`std`** (`Arc`, `OnceLock`, `PoisonError`,
+//!   `thread::available_parallelism`) — interleaving-insensitive
+//!   (immutable after publication, error plumbing, or a host query).
+//! * the `loom-model`-only re-exports of [`loom::model`] and
+//!   `thread::spawn` for the models.
 
 // Interleaving-insensitive: shared ownership and write-once cells hold
 // immutable data after publication; poison plumbing is error handling.
@@ -45,16 +44,19 @@ pub(crate) mod atomic {
 }
 
 pub(crate) mod thread {
-    // `scope` never runs inside a model (the models exercise the
-    // work-stealing claim protocol on plain spawned threads instead), and
-    // `available_parallelism` is a host query; both stay `std` under every
-    // cfg. This module is the designated shim, so the direct `std::thread`
-    // uses here are the allowlisted ones.
-    pub(crate) use std::thread::{available_parallelism, scope};
+    // `available_parallelism` is a host query, so it stays `std` under
+    // every cfg. This module is the designated shim, so the direct
+    // `std::thread` uses here are the allowlisted ones.
+    pub(crate) use std::thread::available_parallelism;
 
     #[cfg(not(feature = "loom-model"))]
-    pub(crate) use std::thread::{spawn, Builder, JoinHandle};
+    pub(crate) use std::thread::{Builder, JoinHandle};
 
     #[cfg(feature = "loom-model")]
-    pub(crate) use loom::thread::{spawn, Builder, JoinHandle};
+    pub(crate) use loom::thread::{Builder, JoinHandle};
+
+    // Production threads are named (`Builder`); only the models and their
+    // pool hooks spawn bare ones.
+    #[cfg(all(test, feature = "loom-model"))]
+    pub(crate) use loom::thread::spawn;
 }

@@ -1,8 +1,8 @@
 //! Differential identity tests across the pluggable enumeration
 //! strategies: every (ordering × pruning) combination must emit exactly
 //! the same embedding set — byte-identical checksums — as the default
-//! static-order / plain-backtracking pair, serially and under the
-//! work-stealing pool. Failing-set pruning and adaptive ordering change
+//! static-order / plain-backtracking pair, on a cold preparation and on a
+//! plan-cache hit. Failing-set pruning and adaptive ordering change
 //! *which parts of the search tree are visited*, never what is emitted;
 //! these tests pin that contract on the paper's motivating instance, on
 //! the pruning-adversarial shapes, and on randomized graphs.
@@ -16,8 +16,8 @@ use cfl_graph::{
     graph_from_edges, query_set, synthetic_graph, Graph, QueryDensity, SyntheticConfig,
 };
 use cfl_match::{
-    collect_embeddings, collect_embeddings_parallel, count_embeddings, Budget, Embedding,
-    MatchConfig, OrderingKind, PruningKind,
+    collect_embeddings, count_embeddings, Budget, DataGraph, Embedding, MatchConfig, OrderingKind,
+    PruningKind,
 };
 
 const COMBOS: [(OrderingKind, PruningKind); 4] = [
@@ -43,8 +43,23 @@ fn embedding_checksum(mut embeddings: Vec<Embedding>) -> u64 {
     h.wrapping_add(embeddings.len() as u64)
 }
 
-/// Runs every strategy combination serially and on 4 stealing workers,
-/// asserting all ten runs agree with the default pair's checksum.
+/// `q` with its vertex ids reversed (same labels and edges): an isomorph
+/// the plan cache must serve from `q`'s stored plan.
+fn reversed(q: &Graph) -> Graph {
+    let n = q.num_vertices() as u32;
+    let labels: Vec<u32> = (0..n).rev().map(|v| q.label(v).0).collect();
+    let edges: Vec<(u32, u32)> = q.edges().map(|(a, b)| (n - 1 - a, n - 1 - b)).collect();
+    graph_from_edges(&labels, &edges).unwrap()
+}
+
+/// Runs every strategy combination on a cold preparation and on a
+/// plan-cache hit, asserting all eight runs agree with the default pair's
+/// checksum. The hit leg primes a cached session with `q`, then runs a
+/// vertex-reversed copy of it: the strategies walk the cached CPI in the
+/// cached query's numbering and every embedding goes through the
+/// session's remap, the path `cfl serve --plan-cache` takes. Reversing
+/// each hit embedding back gives `q`'s numbering, so it checksums to the
+/// same reference.
 fn assert_all_combos_identical(name: &str, q: &Graph, g: &Graph, base: &MatchConfig) {
     let reference = {
         let cfg = base
@@ -54,19 +69,30 @@ fn assert_all_combos_identical(name: &str, q: &Graph, g: &Graph, base: &MatchCon
         let (embs, _) = collect_embeddings(q, g, &cfg).unwrap();
         embedding_checksum(embs)
     };
+    let q_rev = reversed(q);
     for (ordering, pruning) in COMBOS {
         let cfg = base.clone().with_ordering(ordering).with_pruning(pruning);
-        let (serial, _) = collect_embeddings(q, g, &cfg).unwrap();
+        let (cold, _) = collect_embeddings(q, g, &cfg).unwrap();
         assert_eq!(
-            embedding_checksum(serial),
+            embedding_checksum(cold),
             reference,
-            "{name}: serial {ordering:?}/{pruning:?} diverged from the default strategies"
+            "{name}: cold {ordering:?}/{pruning:?} diverged from the default strategies"
         );
-        let (parallel, _) = collect_embeddings_parallel(q, g, &cfg, 4).unwrap();
+        let session = DataGraph::with_cache(g);
+        let _ = session.count_embeddings(q, &cfg).unwrap();
+        let (mut hit, _) = session.collect_embeddings(&q_rev, &cfg).unwrap();
         assert_eq!(
-            embedding_checksum(parallel),
+            session.plan_cache().unwrap().snapshot().hits,
+            1,
+            "{name}: the reversed query missed the plan cache"
+        );
+        for e in &mut hit {
+            e.mapping.reverse();
+        }
+        assert_eq!(
+            embedding_checksum(hit),
             reference,
-            "{name}: 4-thread {ordering:?}/{pruning:?} diverged from the default strategies"
+            "{name}: plan-cache hit {ordering:?}/{pruning:?} diverged from the default strategies"
         );
     }
 }

@@ -7,7 +7,7 @@
 
 use cfl_graph::{graph_from_edges, query_set, synthetic_graph, QueryDensity, SyntheticConfig};
 use cfl_match::{
-    count_embeddings, count_embeddings_parallel, DataGraph, MatchConfig, MatchOutcome,
+    collect_embeddings, count_embeddings, Budget, DataGraph, MatchConfig, MatchOutcome,
 };
 
 fn data() -> cfl_graph::Graph {
@@ -46,27 +46,43 @@ fn trace_is_recorded_and_consistent() {
 }
 
 #[test]
-fn parallel_worker_embeddings_sum_to_total() {
+fn capped_runs_satisfy_the_worker_sum_identity() {
+    // One enumerator runs each query and clamps its emitted count to the
+    // cap, so a run stopped by its budget must reconcile exactly like a
+    // complete one — in sink mode, and in count-only mode where the leaf
+    // phase adds whole label-class products at once (`emit_bulk`).
     let g = data();
+    let mut capped = [0u32; 2];
     for q in queries(&g) {
-        for threads in [2, 4] {
-            let r = count_embeddings_parallel(&q, &g, &MatchConfig::exhaustive(), threads).unwrap();
-            let Some(trace) = r.stats.trace.as_deref() else {
-                // Provably-empty preparations return before enumeration.
-                assert_eq!(r.embeddings, 0);
-                continue;
-            };
-            assert_eq!(trace.workers.len(), threads, "one record per worker");
+        let full = count_embeddings(&q, &g, &MatchConfig::exhaustive())
+            .unwrap()
+            .embeddings;
+        if full < 2 {
+            continue;
+        }
+        let cfg = MatchConfig::exhaustive().with_budget(Budget::first(full / 2));
+        let (embs, sink) = collect_embeddings(&q, &g, &cfg).unwrap();
+        let count_only = count_embeddings(&q, &g, &cfg).unwrap();
+        for (i, r) in [sink, count_only].into_iter().enumerate() {
+            assert_eq!(r.outcome, MatchOutcome::LimitReached);
+            assert_eq!(r.embeddings, full / 2);
+            let trace = r.stats.trace.as_deref().expect("trace feature records");
             let checked = cfl_verify::check_trace(trace, Some(r.embeddings));
             assert!(checked.is_clean(), "{checked}");
+            capped[i] += 1;
         }
+        assert_eq!(embs.len() as u64, full / 2);
     }
+    assert!(
+        capped.iter().all(|&n| n > 0),
+        "no query stopped at its cap: {capped:?}"
+    );
 }
 
 #[test]
 fn counts_are_unchanged_across_modes_and_threads() {
-    // Tracing is observational: every construction mode and thread count
-    // must report the same embedding count it reports untraced (the
+    // Tracing is observational: every construction mode and build thread
+    // count must report the same embedding count it reports untraced (the
     // untraced side of this equality is CI's cross-build checksum gate;
     // here we pin the traced side to a mode-independent answer).
     let g = data();
@@ -76,15 +92,13 @@ fn counts_are_unchanged_across_modes_and_threads() {
             .embeddings;
         for config in [
             MatchConfig::exhaustive(),
-            MatchConfig::variant_naive_cpi().with_budget(cfl_match::Budget::UNLIMITED),
-            MatchConfig::variant_topdown_cpi().with_budget(cfl_match::Budget::UNLIMITED),
+            MatchConfig::variant_naive_cpi().with_budget(Budget::UNLIMITED),
+            MatchConfig::variant_topdown_cpi().with_budget(Budget::UNLIMITED),
+            MatchConfig::exhaustive().with_build_threads(1),
+            MatchConfig::exhaustive().with_build_threads(4),
         ] {
             let r = count_embeddings(&q, &g, &config).unwrap();
             assert_eq!(r.outcome, MatchOutcome::Complete);
-            assert_eq!(r.embeddings, reference);
-        }
-        for threads in [1, 4] {
-            let r = count_embeddings_parallel(&q, &g, &MatchConfig::exhaustive(), threads).unwrap();
             assert_eq!(r.embeddings, reference);
         }
     }
@@ -94,7 +108,7 @@ fn counts_are_unchanged_across_modes_and_threads() {
 fn naive_mode_has_inexact_accounting() {
     let g = data();
     let q = queries(&g).remove(0);
-    let cfg = MatchConfig::variant_naive_cpi().with_budget(cfl_match::Budget::UNLIMITED);
+    let cfg = MatchConfig::variant_naive_cpi().with_budget(Budget::UNLIMITED);
     let r = count_embeddings(&q, &g, &cfg).unwrap();
     let trace = r.stats.trace.as_deref().expect("trace feature records");
     assert!(

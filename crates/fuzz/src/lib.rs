@@ -8,7 +8,7 @@
 //! * **flat-vs-nested** — the production flat-arena CPI freeze vs the
 //!   naive nested reference freeze (`cfl-match`'s `oracle` feature);
 //! * **thread-checksum** — CPI checksum and embedding-count identity
-//!   between 1-thread and N-thread execution;
+//!   between 1-thread and N-thread CPI builds;
 //! * **canon-fingerprint** — canonical-fingerprint invariance under
 //!   vertex permutation and label renaming, plus plan-cache-hit vs
 //!   cold-run embedding identity;
@@ -18,8 +18,8 @@
 //!   checksums on every successor graph;
 //! * **strategy-identity** — every (ordering × pruning) enumeration
 //!   strategy combination vs the default static-order / plain-backtracking
-//!   pair: identical embedding sets serially and identical counts under
-//!   the work-stealing pool.
+//!   pair: identical embedding sets on a cold preparation and on a
+//!   plan-cache hit for a permuted isomorph of the query.
 //!
 //! Inputs are byte strings decoded by a total, direct encoding
 //! ([`spec`]); failures are minimized by a format-oblivious ddmin

@@ -43,7 +43,7 @@ pub struct CaseSpec {
     pub g_labels: Vec<u8>,
     /// Data edges (endpoints `< g_labels.len()`); loops/duplicates dropped.
     pub g_edges: Vec<(u8, u8)>,
-    /// Worker count for the thread-differential target (`2..=4`).
+    /// CPI build thread count for the thread-differential target (`2..=4`).
     pub threads: u8,
 }
 
@@ -240,7 +240,7 @@ impl CaseSpec {
 pub struct Case {
     pub q: Graph,
     pub g: Graph,
-    /// Worker count for the thread-differential target.
+    /// CPI build thread count for the thread-differential target.
     pub threads: usize,
 }
 

@@ -160,17 +160,24 @@ fn case_seed(case: &Case) -> u64 {
     h
 }
 
-/// Rebuilds `q` under a seed-derived vertex permutation (same labels and
-/// edges, renumbered vertices).
-fn permuted_query(q: &Graph, seed: u64) -> Result<Graph, String> {
-    let n = q.num_vertices();
+/// The seed-derived permutation of `0..n` that [`permuted_query`]
+/// applies: `perm[v]` is the new id of original vertex `v`.
+fn permutation(n: usize, seed: u64) -> Vec<u32> {
     let mut state = seed | 1;
-    // Fisher-Yates: perm[v] is the new id of original vertex v.
+    // Fisher-Yates.
     let mut perm: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
         let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
         perm.swap(i, j);
     }
+    perm
+}
+
+/// Rebuilds `q` under a seed-derived vertex permutation (same labels and
+/// edges, renumbered vertices).
+fn permuted_query(q: &Graph, seed: u64) -> Result<Graph, String> {
+    let n = q.num_vertices();
+    let perm = permutation(n, seed);
     let mut labels = vec![0u32; n];
     for v in q.vertices() {
         labels[perm[v as usize] as usize] = q.label(v).0;
@@ -441,10 +448,11 @@ fn session_checksum(
 /// Failing-set pruning and adaptive ordering change which parts of the
 /// search tree are visited, never what is emitted: each of the four
 /// combinations must produce exactly the embedding set of the
-/// static-order / plain-backtracking reference, serially, and the
-/// parallel counter must agree at the case's thread count. Budgeted runs
-/// that hit the cap are skipped — under a cap the strategies legitimately
-/// emit different prefixes of the full set.
+/// static-order / plain-backtracking reference, on a cold preparation and
+/// on a plan-cache hit (a cached session primed with the query, then run
+/// on a seed-permuted isomorph whose embeddings the session remaps).
+/// Budgeted runs that hit the cap are skipped — under a cap the
+/// strategies legitimately emit different prefixes of the full set.
 pub fn strategy_identity(case: &Case) -> Result<Verdict, String> {
     const COMBOS: [(OrderingKind, PruningKind); 4] = [
         (OrderingKind::StaticPath, PruningKind::Plain),
@@ -495,34 +503,71 @@ pub fn strategy_identity(case: &Case) -> Result<Verdict, String> {
                 }
                 compare_embedding_sets(embs, reference.clone(), "combo", "default")
                     .map_err(|e| format!("{ordering:?}/{pruning:?}: {e}"))?;
-                let par =
-                    cfl_match::count_embeddings_parallel(&case.q, &case.g, &cfg, case.threads)
-                        .map_err(|e| {
-                            format!(
-                                "parallel {ordering:?}/{pruning:?} fails where serial \
-                                 succeeded: {e:?}"
-                            )
-                        })?;
-                if !par.outcome.is_complete() {
-                    return Ok(Verdict::Skipped("budget cap reached"));
-                }
-                if par.embeddings != cr.embeddings {
-                    return Err(format!(
-                        "parallel count diverges for {ordering:?}/{pruning:?} at {} \
-                         threads: serial={} parallel={}",
-                        case.threads, cr.embeddings, par.embeddings
-                    ));
-                }
+                let Some(hit) = cache_hit_embeddings(case, &cfg)
+                    .map_err(|e| format!("plan-cache hit {ordering:?}/{pruning:?}: {e}"))?
+                else {
+                    continue;
+                };
+                compare_embedding_sets(hit, reference.clone(), "cache-hit", "default")
+                    .map_err(|e| format!("plan-cache hit {ordering:?}/{pruning:?}: {e}"))?;
             }
         }
     }
     Ok(Verdict::Checked)
 }
 
+/// Runs the case's query on a cached session primed with it, through a
+/// seed-permuted isomorph, and returns the hit's embeddings mapped back
+/// into the original query's numbering. `None` when the canonicalizer
+/// gave up on the query, so no lookup can hit.
+fn cache_hit_embeddings(
+    case: &Case,
+    cfg: &MatchConfig,
+) -> Result<Option<Vec<Vec<VertexId>>>, String> {
+    if canonical_query(&case.q).is_none() {
+        return Ok(None);
+    }
+    let seed = case_seed(case);
+    let qp = permuted_query(&case.q, seed)?;
+    let session = DataGraph::with_cache(&case.g);
+    let _ = session
+        .count_embeddings(&case.q, cfg)
+        .map_err(|e| format!("priming run fails: {e:?}"))?;
+    let mut embs = Vec::new();
+    let report = session
+        .find_embeddings(&qp, cfg, |m| {
+            embs.push(m.to_vec());
+            true
+        })
+        .map_err(|e| format!("fails on the permuted query: {e:?}"))?;
+    let stats = session
+        .plan_cache()
+        .ok_or("cache-enabled session lost its plan cache")?
+        .snapshot();
+    if stats.hits != 1 {
+        return Err(format!(
+            "permuted query missed the plan cache (hits={}, misses={})",
+            stats.hits, stats.misses
+        ));
+    }
+    if !report.outcome.is_complete() {
+        return Err(format!(
+            "hit stopped early ({:?}) where the cold run completed",
+            report.outcome
+        ));
+    }
+    // `permuted_query` gave original vertex `v` the id `perm[v]`.
+    let perm = permutation(case.q.num_vertices(), seed);
+    Ok(Some(
+        embs.into_iter()
+            .map(|m| perm.iter().map(|&p| m[p as usize]).collect())
+            .collect(),
+    ))
+}
+
 /// 1-thread vs N-thread identity: the CPI checksum must be byte-identical
-/// across build thread counts, and the (budgeted) embedding count must
-/// agree between the serial counter and the work-stealing parallel
-/// counter.
+/// across build thread counts, and so must the (budgeted) embedding count
+/// enumerated over each build.
 pub fn thread_checksum(case: &Case) -> Result<Verdict, String> {
     let budget = Budget::first(EMB_CAP);
     let cfg1 = MatchConfig::exhaustive()
@@ -559,15 +604,15 @@ pub fn thread_checksum(case: &Case) -> Result<Verdict, String> {
     }
 
     let serial = cfl_match::count_embeddings(&case.q, &case.g, &cfg1)
-        .map_err(|e| format!("serial count failed after prepare succeeded: {e:?}"))?;
-    let parallel = cfl_match::count_embeddings_parallel(&case.q, &case.g, &cfg_n, case.threads)
-        .map_err(|e| format!("parallel count failed after prepare succeeded: {e:?}"))?;
+        .map_err(|e| format!("serial-build count failed after prepare succeeded: {e:?}"))?;
+    let parallel = cfl_match::count_embeddings(&case.q, &case.g, &cfg_n)
+        .map_err(|e| format!("parallel-build count failed after prepare succeeded: {e:?}"))?;
     if !serial.outcome.is_complete() || !parallel.outcome.is_complete() {
         return Ok(Verdict::Skipped("budget cap reached"));
     }
     if serial.embeddings != parallel.embeddings {
         return Err(format!(
-            "embedding counts diverge at {} threads: serial={} parallel={}",
+            "embedding counts diverge at {} build threads: serial={} parallel={}",
             case.threads, serial.embeddings, parallel.embeddings
         ));
     }

@@ -21,7 +21,7 @@
 //!   filter (adjacency/Lemma 5.1, MND/Lemma A.1, NLF, S-NTE, refinement,
 //!   orphan pruning).
 //! * [`EnumCounters`] / [`WorkerTrace`] — enumeration (§4.2.2–§4.4):
-//!   per-worker embeddings, backtracks, steal counts, core/forest node
+//!   per-worker embeddings, backtracks, backjumps, core/forest node
 //!   splits, leaf-phase time and a partial-match depth histogram.
 //! * [`CpiMetrics`] — index size (§4.1, Figure 16(d)): arena bytes and
 //!   candidates per query vertex.
@@ -235,8 +235,6 @@ pub struct EnumCounters {
     /// *decision* to abandon the remaining candidates of a search-tree
     /// node, not one skipped candidate.
     pub backjumps: u64,
-    /// Root candidates claimed from the work-stealing cursor.
-    pub steals: u64,
     /// Search nodes attempted at core depths (§4.2.2).
     pub core_nodes: u64,
     /// Search nodes attempted at forest depths (§4.3).
@@ -282,7 +280,7 @@ pub struct WorkerTrace {
     pub nodes: u64,
     /// Non-tree edge checks this worker probed.
     pub nt_checks: u64,
-    /// Hot-path counters (backtracks, steals, depth histogram, …).
+    /// Hot-path counters (backtracks, backjumps, depth histogram, …).
     pub counters: EnumCounters,
 }
 
@@ -413,12 +411,11 @@ impl TraceReport {
         out.push_str(&format!("workers ({})\n", self.workers.len()));
         for (i, w) in self.workers.iter().enumerate() {
             out.push_str(&format!(
-                "  #{i}: embeddings {} nodes {} backtracks {} backjumps {} steals {} core {} forest {} leaf {}\n",
+                "  #{i}: embeddings {} nodes {} backtracks {} backjumps {} core {} forest {} leaf {}\n",
                 w.embeddings,
                 w.nodes,
                 w.counters.backtracks,
                 w.counters.backjumps,
-                w.counters.steals,
                 w.counters.core_nodes,
                 w.counters.forest_nodes,
                 w.counters.leaf_nodes,
@@ -475,13 +472,12 @@ impl TraceReport {
                 s.push_str(", ");
             }
             s.push_str(&format!(
-                "{{\"embeddings\": {}, \"nodes\": {}, \"nt_checks\": {}, \"backtracks\": {}, \"backjumps\": {}, \"steals\": {}, \"core_nodes\": {}, \"forest_nodes\": {}, \"leaf_nodes\": {}, \"leaf_ns\": {}, \"depth_hist\": {}}}",
+                "{{\"embeddings\": {}, \"nodes\": {}, \"nt_checks\": {}, \"backtracks\": {}, \"backjumps\": {}, \"core_nodes\": {}, \"forest_nodes\": {}, \"leaf_nodes\": {}, \"leaf_ns\": {}, \"depth_hist\": {}}}",
                 w.embeddings,
                 w.nodes,
                 w.nt_checks,
                 w.counters.backtracks,
                 w.counters.backjumps,
-                w.counters.steals,
                 w.counters.core_nodes,
                 w.counters.forest_nodes,
                 w.counters.leaf_nodes,
@@ -650,7 +646,6 @@ mod tests {
                 counters: EnumCounters {
                     backtracks: 30,
                     backjumps: 2,
-                    steals: 4,
                     core_nodes: 25,
                     forest_nodes: 10,
                     leaf_nodes: 5,

@@ -42,9 +42,9 @@ use crate::report::Report;
 /// `total_embeddings` is the embedding count from the engine's
 /// `MatchReport` when available; pass `None` for reports captured before
 /// enumeration (the worker checks still run on whatever workers exist).
-/// Budget-limited or timed-out runs should also pass `None`: cooperative
-/// cancellation lets workers overshoot the clamped total, so the sum
-/// identity only holds for complete runs.
+/// The sum identity holds for every outcome, capped runs included: one
+/// enumerator runs each query, and it clamps its emitted count to the
+/// embedding cap exactly.
 #[must_use]
 pub fn check_trace(report: &TraceReport, total_embeddings: Option<u64>) -> Report {
     let mut out = Report::new();
@@ -304,7 +304,6 @@ mod tests {
             counters: EnumCounters {
                 backtracks: 12,
                 backjumps: 2,
-                steals: 3,
                 core_nodes: 8,
                 forest_nodes: 4,
                 leaf_nodes: 0,

@@ -18,6 +18,9 @@
 //!    loom model; anywhere else the default is the stronger ordering
 //!    until a model exists.
 //!
+//! Both allowlists must also stay exact: an entry whose file is missing,
+//! or has no site for that rule, is itself a violation of the rule.
+//!
 //! The rules apply per crate (see [`CRATES`]): `cfl-match` carries all
 //! three; `cfl-graph` has no loom shim (no sync-shim rule) and *empty*
 //! unsafe and Relaxed allowlists, so any `unsafe` or `Ordering::Relaxed`
@@ -58,12 +61,7 @@ const CORE_RULES: CrateRules = CrateRules {
     dir: "crates/core",
     sync_shim: Some("src/sync.rs"),
     unsafe_allowlist: &["src/pool.rs"],
-    relaxed_allowlist: &[
-        "src/pool.rs",
-        "src/exec/enumerate.rs",
-        "src/exec/parallel.rs",
-        "src/models.rs",
-    ],
+    relaxed_allowlist: &["src/pool.rs", "src/models.rs"],
 };
 
 /// `cfl-graph`: safe code only — no `unsafe`, no loom shim, and no
@@ -116,6 +114,7 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
             return Err(format!("no .rs files under {}", crate_root.display()));
         }
         files.sort();
+        let mut sources = Vec::with_capacity(files.len());
         for path in files {
             let source = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -125,9 +124,53 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
                 .to_string_lossy()
                 .replace('\\', "/");
             lint_file(&rel, &source, &path, rules, &mut violations);
+            sources.push((rel, source));
         }
+        stale_allowlist_entries(&sources, rules, &mut violations);
     }
     Ok(violations)
+}
+
+/// Flags allowlist entries that no longer earn their place: the file is
+/// gone, or it has no site for that rule outside `#[cfg(test)]` modules.
+/// A stale entry would silently pre-approve the next `unsafe` or
+/// `Ordering::Relaxed` someone adds to that file, so both the unsafe and
+/// the Relaxed allowlists must list exactly the files that need them.
+/// `files` holds every `(path relative to the crate root, source)` pair of
+/// the crate.
+pub fn stale_allowlist_entries(
+    files: &[(String, String)],
+    rules: &CrateRules,
+    out: &mut Vec<Violation>,
+) {
+    let has_site = |rule: &str, source: &str| {
+        let code = strip_test_modules(&strip_comments_and_strings(source));
+        if rule == "unsafe-allowlist" {
+            !find_unsafe_sites(&code).is_empty()
+        } else {
+            !find_tokens(&code, &["Ordering::Relaxed"]).is_empty()
+        }
+    };
+    for (rule, allowlist) in [
+        ("unsafe-allowlist", rules.unsafe_allowlist),
+        ("relaxed-ordering", rules.relaxed_allowlist),
+    ] {
+        for &entry in allowlist {
+            let message = match files.iter().find(|(rel, _)| rel == entry) {
+                None => "allowlisted file does not exist; drop the entry",
+                Some((_, source)) if !has_site(rule, source) => {
+                    "allowlisted file has no site for this rule; drop the entry"
+                }
+                Some(_) => continue,
+            };
+            out.push(Violation {
+                file: Path::new(rules.dir).join(entry),
+                line: 1,
+                rule,
+                message: message.to_owned(),
+            });
+        }
+    }
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -575,8 +618,50 @@ mod tests {
             "expected a relaxed-ordering violation, got {v:?}"
         );
         // Allowed in a loom-modeled module.
-        let v = lint_str("src/exec/parallel.rs", &fixture("bad_relaxed.rs"));
+        let v = lint_str("src/pool.rs", &fixture("bad_relaxed.rs"));
         assert!(v.iter().all(|v| v.rule != "relaxed-ordering"));
+    }
+
+    #[test]
+    fn fixture_stale_allowlist_entries_fail() {
+        // `enumerate.rs` is on both lists but its only `unsafe` and Relaxed
+        // sit in a test module; `parallel.rs` is listed but gone. The two
+        // entries that still cover a real site pass.
+        const RULES: CrateRules = CrateRules {
+            dir: "crates/core",
+            sync_shim: Some("src/sync.rs"),
+            unsafe_allowlist: &["src/pool.rs", "src/exec/enumerate.rs"],
+            relaxed_allowlist: &[
+                "src/models.rs",
+                "src/exec/enumerate.rs",
+                "src/exec/parallel.rs",
+            ],
+        };
+        let files = [
+            ("src/pool.rs", fixture("bad_unsafe_no_safety.rs")),
+            ("src/models.rs", fixture("bad_relaxed.rs")),
+            ("src/exec/enumerate.rs", fixture("good_test_module_std.rs")),
+        ]
+        .map(|(rel, source)| (rel.to_owned(), source));
+        let mut v = Vec::new();
+        stale_allowlist_entries(&files, &RULES, &mut v);
+        let mut got: Vec<String> = v
+            .iter()
+            .map(|v| format!("{} [{}]", v.file.display(), v.rule))
+            .collect();
+        got.sort();
+        assert_eq!(
+            got,
+            [
+                "crates/core/src/exec/enumerate.rs [relaxed-ordering]",
+                "crates/core/src/exec/enumerate.rs [unsafe-allowlist]",
+                "crates/core/src/exec/parallel.rs [relaxed-ordering]",
+            ],
+            "{v:?}"
+        );
+        assert!(v
+            .iter()
+            .any(|v| v.file.ends_with("parallel.rs") && v.message.contains("does not exist")));
     }
 
     #[test]

@@ -222,23 +222,3 @@ fn forest_independent_set_matches_leaf_set_on_random_queries() {
         assert!(cfl_match::is_independent_set(&q, &is), "seed {seed}");
     }
 }
-
-#[test]
-fn parallel_agrees_with_serial_on_workload() {
-    let g = Dataset::Yeast.build_scaled(25);
-    let spec = cfl_datasets::QuerySetSpec {
-        size: 6,
-        density: QueryDensity::Sparse,
-        count: 3,
-        seed: 17,
-    };
-    for q in spec.generate(&g) {
-        let serial = cfl_match::count_embeddings(&q, &g, &MatchConfig::exhaustive())
-            .unwrap()
-            .embeddings;
-        let parallel = cfl_match::count_embeddings_parallel(&q, &g, &MatchConfig::exhaustive(), 4)
-            .unwrap()
-            .embeddings;
-        assert_eq!(serial, parallel);
-    }
-}
