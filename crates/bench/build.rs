@@ -1,10 +1,9 @@
-//! Embeds build provenance into the bench binaries.
+//! Embeds build provenance into the `experiments` binary.
 //!
-//! Tracked result files (`BENCH_*.json`, `bench_results/*.txt`) are only
-//! comparable when the producing commit is known, so the binaries stamp
-//! `CFL_BUILD_COMMIT` into their output headers. Falls back to "unknown"
-//! outside a git checkout (e.g. a source tarball) rather than failing the
-//! build.
+//! Recorded result files (`bench_results/*.txt`) are only comparable when
+//! the producing commit is known, so the binary stamps `CFL_BUILD_COMMIT`
+//! into its output header. Falls back to "unknown" outside a git checkout
+//! (e.g. a source tarball) rather than failing the build.
 
 use std::process::Command;
 

@@ -706,9 +706,9 @@ pub fn filters(scale: &Scale) {
 }
 
 /// Extension ablation: greedy path order vs the §7 future-work
-/// core-hierarchy order.
+/// core-hierarchy order and the DAF-style adaptive order.
 pub fn hier(scale: &Scale) {
-    println!("# Ordering ablation — Algorithm 2 vs arbitrary vs core-hierarchy\n");
+    println!("# Ordering ablation — Algorithm 2 vs arbitrary vs core-hierarchy vs adaptive\n");
     let matchers: Vec<Box<dyn Matcher>> = vec![
         Box::new(CflMatcher::with_config(
             "CFL-Arbitrary",
@@ -721,6 +721,13 @@ pub fn hier(scale: &Scale) {
         Box::new(CflMatcher::with_config(
             "CFL-Hierarchy",
             MatchConfig::variant_core_hierarchy(),
+        )),
+        Box::new(CflMatcher::with_config(
+            "CFL-Adaptive",
+            MatchConfig {
+                order: cfl_match::OrderStrategy::Adaptive,
+                ..Default::default()
+            },
         )),
     ];
     for d in [Dataset::Human, Dataset::SyntheticDefault] {

@@ -8,8 +8,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod experiments;
-pub mod hotpath;
-pub mod loadgen;
 pub mod runner;
 pub mod table;
 

@@ -234,7 +234,7 @@ fn strategy_config(f: &Flags) -> cfl_match::MatchConfig {
     let mut cfg = cfl_match::MatchConfig::exhaustive();
     match f.get("order") {
         None | Some("static") => {}
-        Some("adaptive") => cfg = cfg.with_ordering(cfl_match::OrderingKind::Adaptive),
+        Some("adaptive") => cfg.order = cfl_match::OrderStrategy::Adaptive,
         Some(other) => {
             eprintln!("unknown --order {other:?} (expected static or adaptive)");
             exit(2);
@@ -578,17 +578,35 @@ fn cmd_workload(args: &[String]) {
                 seed: 0x9e37 + (i * 2 + j) as u64 * 104_729,
             };
             let queries = spec.generate(&g);
-            let paths =
-                cfl_datasets::save_query_set(out_dir, &spec.name(), &queries).unwrap_or_else(die);
+            save_query_set(out_dir, &spec.name(), &queries).unwrap_or_else(die);
             println!(
                 "{}: {} queries -> {out_dir}/{}",
                 spec.name(),
-                paths.len(),
+                queries.len(),
                 spec.name()
             );
         }
     }
     println!("data graph -> {out_dir}/data.graph");
+}
+
+/// Writes `queries` as `<dir>/<name>/q-<i>.graph` plus a `manifest.txt`
+/// listing the files in order.
+fn save_query_set(
+    dir: &str,
+    name: &str,
+    queries: &[cfl_graph::Graph],
+) -> Result<(), cfl_graph::IoError> {
+    use std::io::Write as _;
+    let set_dir = std::path::Path::new(dir).join(name);
+    std::fs::create_dir_all(&set_dir)?;
+    let mut manifest = std::fs::File::create(set_dir.join("manifest.txt"))?;
+    for (i, q) in queries.iter().enumerate() {
+        let file = format!("q-{i}.graph");
+        write_graph_file(q, set_dir.join(&file))?;
+        writeln!(manifest, "{file}")?;
+    }
+    Ok(())
 }
 
 /// `cfl verify`: builds the full matching pipeline for a (query, data)

@@ -63,7 +63,11 @@ impl ConfigSig {
         ConfigSig {
             cpi: config.cpi,
             decomposition: config.decomposition,
-            order: config.order,
+            // Adaptive enumerates over the Greedy plan, so the two share it.
+            order: match config.order {
+                OrderStrategy::Adaptive => OrderStrategy::Greedy,
+                order => order,
+            },
             filters: config.filters,
         }
     }

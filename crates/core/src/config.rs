@@ -73,11 +73,15 @@ pub enum DecompositionMode {
 }
 
 /// How root-to-leaf paths are prioritized when building the matching order
-/// (§4.2.1).
+/// (§4.2.1), and which runtime vertex-selection rule — the
+/// [`OrderingStrategy`](crate::exec::strategy::OrderingStrategy) plugged
+/// into the search — follows it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OrderStrategy {
     /// The paper's greedy rule: minimize estimated embedding counts
-    /// (Algorithm 2). Default.
+    /// (Algorithm 2), and follow that plan verbatim during enumeration.
+    /// Default, and the oracle the other strategies are differential-tested
+    /// against.
     Greedy,
     /// Future-work exploration (§7): prefer paths that reach deeper into
     /// the k-core hierarchy of the query first (ties broken by the greedy
@@ -88,21 +92,13 @@ pub enum OrderStrategy {
     /// cardinality estimation at all — isolates how much of CFL-Match's
     /// speed comes from Algorithm 2 itself.
     Arbitrary,
-}
-
-/// Which runtime vertex-selection rule the enumerator follows — the
-/// [`OrderingStrategy`](crate::exec::strategy::OrderingStrategy) plugged
-/// into the search. Distinct from [`OrderStrategy`], which ranks
-/// root-to-leaf paths when the *static* plan is computed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum OrderingKind {
-    /// Follow the precomputed path-based plan (§4.2.1) verbatim. Default,
-    /// and the oracle the other strategies are differential-tested against.
-    #[default]
-    StaticPath,
-    /// DAF-style adaptive order: at every depth extend the unmatched
-    /// CPI-tree vertex whose parent is mapped and whose candidate row for
-    /// the current prefix is smallest.
+    /// DAF-style adaptive order: the static plan is [`Greedy`]'s, but at
+    /// every depth the enumerator extends the unmatched CPI-tree vertex
+    /// whose parent is mapped and whose candidate row for the current
+    /// prefix is smallest. Prepares exactly what `Greedy` prepares, so the
+    /// two share cached plans.
+    ///
+    /// [`Greedy`]: OrderStrategy::Greedy
     Adaptive,
 }
 
@@ -171,15 +167,11 @@ pub struct MatchConfig {
     pub cpi: CpiMode,
     /// Query decomposition mode.
     pub decomposition: DecompositionMode,
-    /// Path-ordering strategy.
+    /// Path-ordering strategy, including the runtime adaptive rule.
     pub order: OrderStrategy,
-    /// Runtime vertex-selection strategy used during enumeration. Does not
-    /// affect preparation (the CPI and static plan are built regardless),
-    /// so it is deliberately excluded from the plan-cache signature — like
-    /// `budget` and `build_threads`.
-    pub ordering: OrderingKind,
-    /// Backtrack-pruning strategy used during enumeration. Excluded from
-    /// the plan-cache signature for the same reason as `ordering`.
+    /// Backtrack-pruning strategy used during enumeration. Does not affect
+    /// preparation, so it is deliberately excluded from the plan-cache
+    /// signature — like `budget` and `build_threads`.
     pub pruning: PruningKind,
     /// Optional candidate filters (§A.6 ablation knobs).
     pub filters: FilterOptions,
@@ -199,7 +191,6 @@ impl Default for MatchConfig {
             cpi: CpiMode::TopDownRefined,
             decomposition: DecompositionMode::CoreForestLeaf,
             order: OrderStrategy::Greedy,
-            ordering: OrderingKind::StaticPath,
             pruning: PruningKind::Plain,
             filters: FilterOptions::default(),
             budget: Budget::first(100_000),
@@ -275,12 +266,6 @@ impl MatchConfig {
         self
     }
 
-    /// Replaces the runtime enumeration-ordering strategy.
-    pub fn with_ordering(mut self, ordering: OrderingKind) -> Self {
-        self.ordering = ordering;
-        self
-    }
-
     /// Replaces the backtrack-pruning strategy.
     pub fn with_pruning(mut self, pruning: PruningKind) -> Self {
         self.pruning = pruning;
@@ -334,12 +319,9 @@ mod tests {
     #[test]
     fn strategy_defaults_and_builders() {
         let c = MatchConfig::default();
-        assert_eq!(c.ordering, OrderingKind::StaticPath);
+        assert_eq!(c.order, OrderStrategy::Greedy);
         assert_eq!(c.pruning, PruningKind::Plain);
-        let c = c
-            .with_ordering(OrderingKind::Adaptive)
-            .with_pruning(PruningKind::FailingSet);
-        assert_eq!(c.ordering, OrderingKind::Adaptive);
+        let c = c.with_pruning(PruningKind::FailingSet);
         assert_eq!(c.pruning, PruningKind::FailingSet);
     }
 

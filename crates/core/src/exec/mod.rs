@@ -241,7 +241,7 @@ pub(crate) fn enumerate_prepared(
     let enum_start = Instant::now();
     #[cfg(feature = "trace")]
     let enum_span = cfl_trace::span::enter(cfl_trace::span::Phase::Enumerate);
-    dispatch_strategies!(config.ordering, config.pruning, O, P, {
+    dispatch_strategies!(config.order, config.pruning, O, P, {
         let mut enumerator = Enumerator::<O, P>::new(q, g, cpi, plan, config.budget.clone(), sink);
         let outcome = enumerator.run();
         #[cfg(feature = "trace")]
@@ -339,13 +339,15 @@ mod tests {
 
     #[test]
     fn all_strategy_combinations_agree_on_figure3() {
-        use crate::config::{OrderingKind, PruningKind};
+        use crate::config::{OrderStrategy, PruningKind};
         let (q, g) = figure3();
-        for ordering in [OrderingKind::StaticPath, OrderingKind::Adaptive] {
+        for order in [OrderStrategy::Greedy, OrderStrategy::Adaptive] {
             for pruning in [PruningKind::Plain, PruningKind::FailingSet] {
-                let cfg = MatchConfig::exhaustive()
-                    .with_ordering(ordering)
-                    .with_pruning(pruning);
+                let cfg = MatchConfig {
+                    order,
+                    ..MatchConfig::exhaustive()
+                }
+                .with_pruning(pruning);
                 let (embs, report) = collect_embeddings(&q, &g, &cfg).unwrap();
                 let mut maps: Vec<Vec<u32>> = embs.into_iter().map(|e| e.mapping).collect();
                 maps.sort();
@@ -356,11 +358,11 @@ mod tests {
                         vec![0, 2, 1, 5, 6],
                         vec![0, 2, 3, 5, 6],
                     ],
-                    "ordering {ordering:?} pruning {pruning:?}"
+                    "order {order:?} pruning {pruning:?}"
                 );
                 assert!(report.outcome.is_complete());
                 let count = count_embeddings(&q, &g, &cfg).unwrap();
-                assert_eq!(count.embeddings, 3, "{ordering:?}/{pruning:?}");
+                assert_eq!(count.embeddings, 3, "{order:?}/{pruning:?}");
             }
         }
     }

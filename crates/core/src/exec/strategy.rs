@@ -446,33 +446,35 @@ impl PruningStrategy for FailingSet {
     }
 }
 
-/// Monomorphizes `$body` for the strategy combination selected by the two
-/// [`crate::config`] kind values, binding `$o`/`$p` as type aliases for the
-/// chosen [`OrderingStrategy`]/[`PruningStrategy`] implementations. Generic
-/// closures do not exist, so the four-way match is spelled once here and
-/// reused by every enumeration entry point.
+/// Monomorphizes `$body` for the strategy combination selected by a
+/// [`crate::config::OrderStrategy`] and a [`crate::config::PruningKind`],
+/// binding `$o`/`$p` as type aliases for the chosen
+/// [`OrderingStrategy`]/[`PruningStrategy`] implementations. Every order
+/// but `Adaptive` follows its static plan. Generic closures do not exist,
+/// so the four-way match is spelled once here and reused by every
+/// enumeration entry point.
 macro_rules! dispatch_strategies {
-    ($ordering:expr, $pruning:expr, $o:ident, $p:ident, $body:block) => {{
-        use $crate::config::{OrderingKind, PruningKind};
+    ($order:expr, $pruning:expr, $o:ident, $p:ident, $body:block) => {{
+        use $crate::config::{OrderStrategy, PruningKind};
         use $crate::exec::strategy::{AdaptiveOrder, FailingSet, PlainBacktrack, StaticOrder};
-        match ($ordering, $pruning) {
-            (OrderingKind::StaticPath, PruningKind::Plain) => {
-                type $o = StaticOrder;
+        match ($order, $pruning) {
+            (OrderStrategy::Adaptive, PruningKind::Plain) => {
+                type $o = AdaptiveOrder;
                 type $p = PlainBacktrack;
                 $body
             }
-            (OrderingKind::StaticPath, PruningKind::FailingSet) => {
-                type $o = StaticOrder;
+            (OrderStrategy::Adaptive, PruningKind::FailingSet) => {
+                type $o = AdaptiveOrder;
                 type $p = FailingSet;
                 $body
             }
-            (OrderingKind::Adaptive, PruningKind::Plain) => {
-                type $o = AdaptiveOrder;
+            (_, PruningKind::Plain) => {
+                type $o = StaticOrder;
                 type $p = PlainBacktrack;
                 $body
             }
-            (OrderingKind::Adaptive, PruningKind::FailingSet) => {
-                type $o = AdaptiveOrder;
+            (_, PruningKind::FailingSet) => {
+                type $o = StaticOrder;
                 type $p = FailingSet;
                 $body
             }

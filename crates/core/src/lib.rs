@@ -64,8 +64,7 @@ pub mod validate;
 
 pub use cache::{PlanCache, PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use config::{
-    Budget, CancelToken, CpiMode, DecompositionMode, MatchConfig, OrderStrategy, OrderingKind,
-    PruningKind,
+    Budget, CancelToken, CpiMode, DecompositionMode, MatchConfig, OrderStrategy, PruningKind,
 };
 pub use cost::{evaluate_cost, CostBreakdown};
 pub use cpi::Cpi;

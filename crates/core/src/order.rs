@@ -75,7 +75,7 @@ pub fn compute_order_with(
     // Hierarchical strategy (§7 future work): rank the first core path by
     // the deepest core number it reaches.
     let coreness: Option<Vec<u32>> = match strategy {
-        OrderStrategy::Greedy | OrderStrategy::Arbitrary => None,
+        OrderStrategy::Greedy | OrderStrategy::Arbitrary | OrderStrategy::Adaptive => None,
         OrderStrategy::CoreHierarchy => Some(core_numbers(q)),
     };
     let arbitrary = strategy == OrderStrategy::Arbitrary;

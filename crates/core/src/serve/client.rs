@@ -1,7 +1,7 @@
-//! A small blocking client for the serving protocol, used by the CLI,
-//! the load generator, and the integration tests. One [`Client`] wraps
-//! one TCP connection and mirrors the protocol's synchronous,
-//! one-request-at-a-time shape.
+//! A small blocking client for the serving protocol, used by the
+//! integration tests; the repository benchmark builds its requests with
+//! [`submit_payload`]. One [`Client`] wraps one TCP connection and mirrors
+//! the protocol's synchronous, one-request-at-a-time shape.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};

@@ -43,7 +43,7 @@ use cfl_trace::ServeTrace;
 
 use super::engine::{QueryDone, QuerySpec};
 use super::json::{escape, Json};
-use crate::config::{MatchConfig, OrderingKind, PruningKind};
+use crate::config::{MatchConfig, OrderStrategy, PruningKind};
 
 /// Maximum frame payload accepted or produced (16 MiB).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
@@ -141,16 +141,29 @@ fn edge_pairs(v: &Json, what: &str) -> Result<Vec<(VertexId, VertexId)>, String>
     Ok(out)
 }
 
+/// The optional `graph` member: absent means `"default"`, anything but a
+/// string is an error.
+fn graph_name(v: &Json) -> Result<String, String> {
+    match v.get("graph") {
+        None => Ok("default".to_string()),
+        Some(g) => g
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "graph must be a string".to_string()),
+    }
+}
+
+/// An optional boolean member: absent means `false`, anything but a bool
+/// is an error.
+fn flag(v: &Json, key: &str) -> Result<bool, String> {
+    match v.get(key) {
+        None => Ok(false),
+        Some(b) => b.as_bool().ok_or_else(|| format!("{key} must be a bool")),
+    }
+}
+
 fn parse_submit(v: &Json) -> Result<QuerySpec, String> {
-    let graph = v
-        .get("graph")
-        .map(|g| {
-            g.as_str()
-                .map(str::to_string)
-                .ok_or("graph must be a string")
-        })
-        .transpose()?
-        .unwrap_or_else(|| "default".to_string());
+    let graph = graph_name(v)?;
     let q = v.get("query").ok_or("submit requires a query object")?;
     let labels: Vec<u32> = q
         .get("labels")
@@ -172,7 +185,7 @@ fn parse_submit(v: &Json) -> Result<QuerySpec, String> {
     let mut config = MatchConfig::exhaustive();
     match v.get("order").map(|o| o.as_str()) {
         None | Some(Some("static")) => {}
-        Some(Some("adaptive")) => config = config.with_ordering(OrderingKind::Adaptive),
+        Some(Some("adaptive")) => config.order = OrderStrategy::Adaptive,
         Some(other) => {
             return Err(format!(
                 "unknown order {other:?} (expected \"static\" or \"adaptive\")"
@@ -188,7 +201,7 @@ fn parse_submit(v: &Json) -> Result<QuerySpec, String> {
             ))
         }
     }
-    if v.get("label_pair").and_then(Json::as_bool) == Some(true) {
+    if flag(v, "label_pair")? {
         let mut filters = config.filters;
         filters.use_label_pair = true;
         config = config.with_filters(filters);
@@ -205,7 +218,7 @@ fn parse_submit(v: &Json) -> Result<QuerySpec, String> {
                 .ok_or("deadline_ms must be a non-negative integer")?,
         )),
     };
-    let count_only = v.get("count_only").and_then(Json::as_bool).unwrap_or(false);
+    let count_only = flag(v, "count_only")?;
     Ok(QuerySpec {
         graph,
         query,
@@ -233,11 +246,7 @@ pub fn parse_request(text: &str) -> Result<Request, String> {
             Ok(Request::Cancel { id })
         }
         "apply-delta" => {
-            let graph = v
-                .get("graph")
-                .and_then(Json::as_str)
-                .unwrap_or("default")
-                .to_string();
+            let graph = graph_name(&v)?;
             let mut delta = GraphDelta::new();
             if let Some(ins) = v.get("insert") {
                 for (u, w) in edge_pairs(ins, "insert")? {
@@ -403,7 +412,7 @@ mod tests {
         assert_eq!(spec.limit, Some(10));
         assert_eq!(spec.deadline, Some(Duration::from_millis(250)));
         assert!(!spec.count_only);
-        assert_eq!(spec.config.ordering, OrderingKind::Adaptive);
+        assert_eq!(spec.config.order, OrderStrategy::Adaptive);
         assert_eq!(spec.config.pruning, PruningKind::FailingSet);
         assert!(spec.config.filters.use_label_pair);
     }
@@ -418,7 +427,7 @@ mod tests {
         assert_eq!(spec.graph, "default");
         assert_eq!(spec.limit, None);
         assert_eq!(spec.deadline, None);
-        assert_eq!(spec.config.ordering, OrderingKind::StaticPath);
+        assert_eq!(spec.config.order, OrderStrategy::Greedy);
         assert_eq!(spec.config.pruning, PruningKind::Plain);
     }
 
@@ -457,6 +466,13 @@ mod tests {
             r#"{"op":"submit","query":{"labels":[0],"edges":[[0,1,2]]}}"#,
             r#"{"op":"submit","query":{"labels":[0,1],"edges":[[0,1]]},"order":"fancy"}"#,
             r#"{"op":"apply-delta"}"#,
+            r#"{"op":"apply-delta","graph":7,"insert":[[0,1]]}"#,
+            r#"{"op":"apply-delta","graph":null,"insert":[[0,1]]}"#,
+            r#"{"op":"submit","query":{"labels":[0,1],"edges":[[0,1]]},"graph":null}"#,
+            r#"{"op":"submit","query":{"labels":[0,1],"edges":[[0,1]]},"count_only":1}"#,
+            r#"{"op":"submit","query":{"labels":[0,1],"edges":[[0,1]]},"count_only":"yes"}"#,
+            r#"{"op":"submit","query":{"labels":[0,1],"edges":[[0,1]]},"label_pair":1}"#,
+            r#"{"op":"submit","query":{"labels":[0,1],"edges":[[0,1]]},"label_pair":null}"#,
         ] {
             assert!(parse_request(bad).is_err(), "accepted {bad:?}");
         }

@@ -16,16 +16,25 @@ use cfl_graph::{
     graph_from_edges, query_set, synthetic_graph, Graph, QueryDensity, SyntheticConfig,
 };
 use cfl_match::{
-    collect_embeddings, count_embeddings, Budget, DataGraph, Embedding, MatchConfig, OrderingKind,
+    collect_embeddings, count_embeddings, Budget, DataGraph, Embedding, MatchConfig, OrderStrategy,
     PruningKind,
 };
 
-const COMBOS: [(OrderingKind, PruningKind); 4] = [
-    (OrderingKind::StaticPath, PruningKind::Plain),
-    (OrderingKind::StaticPath, PruningKind::FailingSet),
-    (OrderingKind::Adaptive, PruningKind::Plain),
-    (OrderingKind::Adaptive, PruningKind::FailingSet),
+const COMBOS: [(OrderStrategy, PruningKind); 4] = [
+    (OrderStrategy::Greedy, PruningKind::Plain),
+    (OrderStrategy::Greedy, PruningKind::FailingSet),
+    (OrderStrategy::Adaptive, PruningKind::Plain),
+    (OrderStrategy::Adaptive, PruningKind::FailingSet),
 ];
+
+/// `base` with its order and pruning strategies replaced.
+fn with_strategies(base: &MatchConfig, order: OrderStrategy, pruning: PruningKind) -> MatchConfig {
+    MatchConfig {
+        order,
+        ..base.clone()
+    }
+    .with_pruning(pruning)
+}
 
 /// Order-independent FNV digest of an embedding set: embeddings are
 /// sorted before folding, so any two runs that emit the same *set* (in
@@ -62,21 +71,18 @@ fn reversed(q: &Graph) -> Graph {
 /// same reference.
 fn assert_all_combos_identical(name: &str, q: &Graph, g: &Graph, base: &MatchConfig) {
     let reference = {
-        let cfg = base
-            .clone()
-            .with_ordering(OrderingKind::StaticPath)
-            .with_pruning(PruningKind::Plain);
+        let cfg = with_strategies(base, OrderStrategy::Greedy, PruningKind::Plain);
         let (embs, _) = collect_embeddings(q, g, &cfg).unwrap();
         embedding_checksum(embs)
     };
     let q_rev = reversed(q);
-    for (ordering, pruning) in COMBOS {
-        let cfg = base.clone().with_ordering(ordering).with_pruning(pruning);
+    for (order, pruning) in COMBOS {
+        let cfg = with_strategies(base, order, pruning);
         let (cold, _) = collect_embeddings(q, g, &cfg).unwrap();
         assert_eq!(
             embedding_checksum(cold),
             reference,
-            "{name}: cold {ordering:?}/{pruning:?} diverged from the default strategies"
+            "{name}: cold {order:?}/{pruning:?} diverged from the default strategies"
         );
         let session = DataGraph::with_cache(g);
         let _ = session.count_embeddings(q, &cfg).unwrap();
@@ -92,7 +98,7 @@ fn assert_all_combos_identical(name: &str, q: &Graph, g: &Graph, base: &MatchCon
         assert_eq!(
             embedding_checksum(hit),
             reference,
-            "{name}: plan-cache hit {ordering:?}/{pruning:?} diverged from the default strategies"
+            "{name}: plan-cache hit {order:?}/{pruning:?} diverged from the default strategies"
         );
     }
 }
@@ -210,16 +216,15 @@ fn adaptive_order_stays_correct_when_static_order_is_wrong_about_sizes() {
     // On the chain trap the adaptive order may visit vertices in a
     // different sequence entirely; counts must not move.
     let (q, g) = deep_chain_trap(3, 4);
-    let static_r = count_embeddings(
-        &q,
-        &g,
-        &MatchConfig::exhaustive().with_ordering(OrderingKind::StaticPath),
-    )
-    .unwrap();
+    let static_r = count_embeddings(&q, &g, &MatchConfig::exhaustive()).unwrap();
     let adaptive_r = count_embeddings(
         &q,
         &g,
-        &MatchConfig::exhaustive().with_ordering(OrderingKind::Adaptive),
+        &with_strategies(
+            &MatchConfig::exhaustive(),
+            OrderStrategy::Adaptive,
+            PruningKind::Plain,
+        ),
     )
     .unwrap();
     assert_eq!(static_r.embeddings, adaptive_r.embeddings);

@@ -13,7 +13,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod adversarial;
-pub mod persist;
 pub mod registry;
 pub mod workloads;
 
@@ -21,6 +20,5 @@ pub use adversarial::{
     challenge1, conflict_forest, deep_chain_trap, dense_circulant, kernel_stress_suite,
     near_clique_pathology, power_law_wedge, pruning_stress_suite, triangle_fan,
 };
-pub use persist::{cached_synthetic, load_query_set, save_query_set, synthetic_cache_key};
 pub use registry::{Dataset, DatasetSpec};
 pub use workloads::{QueryMixSpec, QuerySetSpec, Workload};

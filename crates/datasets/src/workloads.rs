@@ -103,7 +103,7 @@ impl Workload {
     }
 }
 
-/// A heterogeneous query mix for the serving load generator: several
+/// A heterogeneous query mix for the serving benchmark: several
 /// sizes in both density classes, interleaved deterministically so
 /// consecutive requests exercise different plan shapes — and so a plan
 /// cache still sees each shape recur every `sizes.len() × 2` requests.

@@ -10,7 +10,7 @@
 use cfl_baselines::{Matcher, Vf2};
 use cfl_graph::{canonical_query, graph_from_edges, Graph, GraphDelta, VertexId};
 use cfl_match::{
-    Budget, DataGraph, EmbeddingChecksum, MatchConfig, OrderingKind, PlanCache, PruningKind,
+    Budget, DataGraph, EmbeddingChecksum, MatchConfig, OrderStrategy, PlanCache, PruningKind,
 };
 use std::sync::Arc;
 
@@ -454,11 +454,11 @@ fn session_checksum(
 /// Budgeted runs that hit the cap are skipped — under a cap the
 /// strategies legitimately emit different prefixes of the full set.
 pub fn strategy_identity(case: &Case) -> Result<Verdict, String> {
-    const COMBOS: [(OrderingKind, PruningKind); 4] = [
-        (OrderingKind::StaticPath, PruningKind::Plain),
-        (OrderingKind::StaticPath, PruningKind::FailingSet),
-        (OrderingKind::Adaptive, PruningKind::Plain),
-        (OrderingKind::Adaptive, PruningKind::FailingSet),
+    const COMBOS: [(OrderStrategy, PruningKind); 4] = [
+        (OrderStrategy::Greedy, PruningKind::Plain),
+        (OrderStrategy::Greedy, PruningKind::FailingSet),
+        (OrderStrategy::Adaptive, PruningKind::Plain),
+        (OrderStrategy::Adaptive, PruningKind::FailingSet),
     ];
     let base = MatchConfig::exhaustive().with_budget(Budget::first(EMB_CAP));
 
@@ -470,8 +470,12 @@ pub fn strategy_identity(case: &Case) -> Result<Verdict, String> {
         true
     });
 
-    for (ordering, pruning) in COMBOS {
-        let cfg = base.clone().with_ordering(ordering).with_pruning(pruning);
+    for (order, pruning) in COMBOS {
+        let cfg = MatchConfig {
+            order,
+            ..base.clone()
+        }
+        .with_pruning(pruning);
         let mut embs = Vec::new();
         let report = cfl_match::find_embeddings(&case.q, &case.g, &cfg, |m| {
             embs.push(m.to_vec());
@@ -482,19 +486,19 @@ pub fn strategy_identity(case: &Case) -> Result<Verdict, String> {
                 if *a != b {
                     return Err(format!(
                         "strategies reject differently: default={a:?} \
-                         {ordering:?}/{pruning:?}={b:?}"
+                         {order:?}/{pruning:?}={b:?}"
                     ));
                 }
             }
             (Err(a), Ok(_)) => {
                 return Err(format!(
                     "only the default strategies reject the case: {a:?} \
-                     (accepted by {ordering:?}/{pruning:?})"
+                     (accepted by {order:?}/{pruning:?})"
                 ));
             }
             (Ok(_), Err(b)) => {
                 return Err(format!(
-                    "only {ordering:?}/{pruning:?} rejects the case: {b:?}"
+                    "only {order:?}/{pruning:?} rejects the case: {b:?}"
                 ));
             }
             (Ok(rr), Ok(cr)) => {
@@ -502,14 +506,14 @@ pub fn strategy_identity(case: &Case) -> Result<Verdict, String> {
                     return Ok(Verdict::Skipped("budget cap reached"));
                 }
                 compare_embedding_sets(embs, reference.clone(), "combo", "default")
-                    .map_err(|e| format!("{ordering:?}/{pruning:?}: {e}"))?;
+                    .map_err(|e| format!("{order:?}/{pruning:?}: {e}"))?;
                 let Some(hit) = cache_hit_embeddings(case, &cfg)
-                    .map_err(|e| format!("plan-cache hit {ordering:?}/{pruning:?}: {e}"))?
+                    .map_err(|e| format!("plan-cache hit {order:?}/{pruning:?}: {e}"))?
                 else {
                     continue;
                 };
                 compare_embedding_sets(hit, reference.clone(), "cache-hit", "default")
-                    .map_err(|e| format!("plan-cache hit {ordering:?}/{pruning:?}: {e}"))?;
+                    .map_err(|e| format!("plan-cache hit {order:?}/{pruning:?}: {e}"))?;
             }
         }
     }

@@ -571,8 +571,8 @@ impl ServeTrace {
         )
     }
 
-    /// Renders the snapshot as an aligned table (the human form used by
-    /// the load generator's final summary).
+    /// Renders the snapshot as an aligned table (the human form of
+    /// [`ServeTrace::to_json`]).
     #[must_use]
     pub fn render_table(&self) -> String {
         let mut out = String::new();

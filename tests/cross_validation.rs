@@ -246,15 +246,22 @@ fn core_hierarchy_variant_agrees() {
             &g,
         );
         assert_eq!(base, hier, "seed {seed}");
-        let arbitrary = embeddings_of(
-            &CflMatcher::with_config("CFL-Arbitrary", {
-                let mut c = MatchConfig::exhaustive();
-                c.order = cfl_match::OrderStrategy::Arbitrary;
-                c
-            }),
-            &q,
-            &g,
-        );
-        assert_eq!(base, arbitrary, "seed {seed} (arbitrary order)");
+        for order in [
+            cfl_match::OrderStrategy::Arbitrary,
+            cfl_match::OrderStrategy::Adaptive,
+        ] {
+            let other = embeddings_of(
+                &CflMatcher::with_config(
+                    "CFL-Order",
+                    MatchConfig {
+                        order,
+                        ..MatchConfig::exhaustive()
+                    },
+                ),
+                &q,
+                &g,
+            );
+            assert_eq!(base, other, "seed {seed} ({order:?} order)");
+        }
     }
 }
