@@ -39,13 +39,13 @@ use std::time::{Duration, Instant};
 
 use cfl_graph::{DeltaError, Graph, GraphDelta, VertexId};
 use cfl_trace::ServeTrace;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
 use crate::cache::PlanCache;
 use crate::config::{Budget, CancelToken, MatchConfig};
 use crate::result::{EmbeddingChecksum, MatchOutcome};
 use crate::session::DataGraph;
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use crate::sync::{thread, Arc, Mutex, MutexGuard, PoisonError};
 
 /// Sizing and default-budget knobs for an [`Engine`].
@@ -272,7 +272,7 @@ struct Job {
     config: MatchConfig,
     count_only: bool,
     batch_size: usize,
-    events: Sender<QueryEvent>,
+    events: SyncSender<QueryEvent>,
     cancel: CancelToken,
 }
 
@@ -294,7 +294,7 @@ pub struct Engine {
     config: EngineConfig,
     /// `None` only during shutdown: dropping the sender disconnects the
     /// queue, which ends every worker's receive loop.
-    queue: Option<Sender<Job>>,
+    queue: Option<SyncSender<Job>>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
@@ -304,14 +304,14 @@ impl Engine {
     /// [`add_graph`](Self::add_graph).
     pub fn new(config: EngineConfig) -> Self {
         let workers = config.workers.max(1);
-        let (tx, rx) = channel::bounded::<Job>(config.queue_depth);
+        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth);
         let shared = Arc::new(Shared {
             graphs: Mutex::new(HashMap::new()),
             registry: Mutex::new(HashMap::new()),
             counters: Mutex::new(ServeTrace::default()),
             next_id: AtomicU64::new(1),
         });
-        // The shim's Receiver is not Sync, so workers take turns claiming
+        // std's Receiver is not Sync, so workers take turns claiming
         // jobs through a mutex; the claim is O(1) and the guard is dropped
         // before the query runs.
         let rx = Arc::new(Mutex::new(rx));
@@ -399,7 +399,7 @@ impl Engine {
             .config
             .with_budget(budget)
             .with_build_threads(self.config.build_threads.max(1));
-        let (tx, rx) = channel::bounded::<QueryEvent>(8);
+        let (tx, rx) = mpsc::sync_channel::<QueryEvent>(8);
         let job = Job {
             id,
             state,

@@ -15,15 +15,17 @@
 //! * **cfg-switched** (`Mutex`, `Condvar`, `MutexGuard`, `atomic::*`,
 //!   `thread::{Builder, JoinHandle}`) — the primitives whose
 //!   interleavings the models check.
-//! * **always-`std`** (`Arc`, `OnceLock`, `PoisonError`,
+//! * **always-`std`** (`Arc`, `OnceLock`, `PoisonError`, `mpsc`,
 //!   `thread::available_parallelism`) — interleaving-insensitive
 //!   (immutable after publication, error plumbing, or a host query).
+//!   Channels stay `std` under `loom-model`: the models check the pool
+//!   and cursor code, not the serving engine's queues.
 //! * the `loom-model`-only re-exports of [`loom::model`] and
 //!   `thread::spawn` for the models.
 
 // Interleaving-insensitive: shared ownership and write-once cells hold
 // immutable data after publication; poison plumbing is error handling.
-pub(crate) use std::sync::{Arc, OnceLock, PoisonError};
+pub(crate) use std::sync::{mpsc, Arc, OnceLock, PoisonError};
 
 #[cfg(not(feature = "loom-model"))]
 pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};

@@ -106,7 +106,7 @@ fn leaf_compression_pays_off_on_star_heavy_queries() {
     // Query: core triangle with 4 identical leaves on one core vertex; data
     // graph with large leaf fan-out. The CFL leaf-match counts without
     // expanding, so counting must touch far fewer nodes than CF-Match
-    // (which enumerates leaves one by one).
+    // (which enumerates leaves one by one) and than CFL's own collection.
     let q = cfl_graph::graph_from_edges(
         &[0, 1, 2, 3, 3, 3, 3],
         &[(0, 1), (1, 2), (2, 0), (0, 3), (0, 4), (0, 5), (0, 6)],
@@ -137,6 +137,17 @@ fn leaf_compression_pays_off_on_star_heavy_queries() {
         "CFL count nodes {} vs CF {}",
         cfl.stats.search_nodes,
         cf.stats.search_nodes
+    );
+    // Same CFL plan, full enumeration: every leaf assignment is expanded,
+    // so collecting must touch more nodes than the §4.4 NEC-combination
+    // shortcut that counting takes.
+    let (embs, collected) = cfl_match::collect_embeddings(&q, &g, &cfg_cfl).unwrap();
+    assert_eq!(embs.len(), 11_880);
+    assert!(
+        cfl.stats.search_nodes < collected.stats.search_nodes,
+        "CFL count nodes {} vs collect {}",
+        cfl.stats.search_nodes,
+        collected.stats.search_nodes
     );
 }
 
