@@ -4,8 +4,7 @@
 //! pruning-adversarial shapes.
 //!
 //! In one process it asserts:
-//! - (a) CPI arena digests and embedding counts are equal at 1 and at 4
-//!   CPI build threads;
+//! - (a) CPI arena digests and embedding counts equal recorded constants;
 //! - (b) counts are equal across every order × pruning combination, and
 //!   runs that finish under the cap also agree on an embedding digest that
 //!   does not depend on emission order;
@@ -88,19 +87,18 @@ impl Workload {
     }
 }
 
-fn config(order: OrderStrategy, pruning: PruningKind, threads: usize) -> MatchConfig {
+fn config(order: OrderStrategy, pruning: PruningKind) -> MatchConfig {
     MatchConfig {
         order,
         ..MatchConfig::exhaustive()
     }
     .with_budget(Budget::first(CAP))
-    .with_build_threads(threads)
     .with_pruning(pruning)
 }
 
 /// Fold of `Cpi::checksum` over the refined CPI of every query, built
-/// from the same root as the engine picks, on `threads` build threads.
-fn cpi_build(w: &Workload, threads: usize) -> u64 {
+/// from the same root as the engine picks.
+fn cpi_build(w: &Workload) -> u64 {
     let g_stats = GraphStats::build(&w.g);
     let mut total = 0u64;
     for q in w.dense.iter().chain(&w.sparse) {
@@ -112,7 +110,7 @@ fn cpi_build(w: &Workload, threads: usize) -> u64 {
             .filter(|&v| !has_core || core[v as usize])
             .collect();
         let (root, root_cands) = cfl_match::select_root_with_candidates(&ctx, &eligible);
-        let cpi = Cpi::build_seeded(&ctx, root, root_cands, CpiMode::TopDownRefined, threads);
+        let cpi = Cpi::build_seeded(&ctx, root, root_cands, CpiMode::TopDownRefined, 1);
         total = total
             .wrapping_mul(0x100_0000_01b3)
             .wrapping_add(cpi.checksum());
@@ -277,11 +275,11 @@ fn rebuild_round(q: &Graph, round: &[AppliedDelta], cfg: &MatchConfig) -> u64 {
     acc
 }
 
-/// (c) and (e) for the delta toggles on `threads` build threads.
-fn check_delta_identity(w: &Workload, threads: usize) {
+/// (c) and (e) for the delta toggles.
+fn check_delta_identity(w: &Workload) {
     const ROUNDS: usize = 2;
     let q = &w.dense[0];
-    let cfg = MatchConfig::exhaustive().with_build_threads(threads);
+    let cfg = MatchConfig::exhaustive();
     let toggles = delta_edges(&w.g, q, &cfg, 8);
     assert!(!toggles.is_empty(), "the toggle probe accepted no edges");
     let chain = delta_chain(&w.g, &toggles, ROUNDS);
@@ -298,36 +296,23 @@ fn check_delta_identity(w: &Workload, threads: usize) {
         let rebuilt = rebuild_round(q, round, &cfg);
         assert_eq!(
             refreshed, rebuilt,
-            "{threads} threads: a refreshed plan's CPI diverged from the rebuild"
+            "a refreshed plan's CPI diverged from the rebuild"
         );
-        assert_eq!(
-            refreshed, DELTA_ROUND,
-            "{threads} threads: delta round fold"
-        );
+        assert_eq!(refreshed, DELTA_ROUND, "delta round fold");
         prev = &round[1].graph;
     }
-    assert_eq!(
-        retained,
-        chain.len(),
-        "{threads} threads: a refresh dropped the plan"
-    );
+    assert_eq!(retained, chain.len(), "a refresh dropped the plan");
 }
 
 #[test]
-fn hot_path_values_hold_across_threads_and_strategies() {
+fn hot_path_values_hold_across_strategies() {
     let w = Workload::new();
 
-    for threads in [1, 4] {
-        assert_eq!(
-            cpi_build(&w, threads),
-            CPI_BUILD,
-            "cpi_build at {threads} threads"
-        );
-        check_delta_identity(&w, threads);
-    }
+    assert_eq!(cpi_build(&w), CPI_BUILD, "cpi_build");
+    check_delta_identity(&w);
 
     let adversarial = cfl_datasets::kernel_stress_suite(1);
-    let reference = config(OrderStrategy::Greedy, PruningKind::Plain, 1);
+    let reference = config(OrderStrategy::Greedy, PruningKind::Plain);
     let ref_core = series(&w.dense, &w.g, &reference);
     let ref_leaf = series(&w.sparse, &w.g, &reference);
     let ref_adv: Vec<Series> = adversarial
@@ -345,22 +330,20 @@ fn hot_path_values_hold_across_threads_and_strategies() {
         assert_eq!(s.embeddings, expected, "adversarial {name}");
     }
 
-    for threads in [1, 4] {
-        for (order, pruning) in COMBOS {
-            let cfg = config(order, pruning, threads);
-            let leg = format!("{order:?}/{pruning:?} at {threads} threads");
-            assert_eq!(series(&w.dense, &w.g, &cfg), ref_core, "core_match, {leg}");
-            assert_eq!(series(&w.sparse, &w.g, &cfg), ref_leaf, "leaf_match, {leg}");
-            let e2e = w
-                .dense
-                .iter()
-                .chain(&w.sparse)
-                .map(|q| count_embeddings(q, &w.g, &cfg).unwrap().embeddings)
-                .sum::<u64>();
-            assert_eq!(e2e, END_TO_END_CFL, "end_to_end_cfl, {leg}");
-            for ((name, q, g), expected) in adversarial.iter().zip(&ref_adv) {
-                assert_eq!(&series([q], g, &cfg), expected, "{name}, {leg}");
-            }
+    for (order, pruning) in COMBOS {
+        let cfg = config(order, pruning);
+        let leg = format!("{order:?}/{pruning:?}");
+        assert_eq!(series(&w.dense, &w.g, &cfg), ref_core, "core_match, {leg}");
+        assert_eq!(series(&w.sparse, &w.g, &cfg), ref_leaf, "leaf_match, {leg}");
+        let e2e = w
+            .dense
+            .iter()
+            .chain(&w.sparse)
+            .map(|q| count_embeddings(q, &w.g, &cfg).unwrap().embeddings)
+            .sum::<u64>();
+        assert_eq!(e2e, END_TO_END_CFL, "end_to_end_cfl, {leg}");
+        for ((name, q, g), expected) in adversarial.iter().zip(&ref_adv) {
+            assert_eq!(&series([q], g, &cfg), expected, "{name}, {leg}");
         }
     }
 }
@@ -368,7 +351,7 @@ fn hot_path_values_hold_across_threads_and_strategies() {
 #[test]
 fn failing_sets_at_least_halve_the_search() {
     let nodes = |q: &Graph, g: &Graph, pruning| {
-        let cfg = config(OrderStrategy::Greedy, pruning, 1);
+        let cfg = config(OrderStrategy::Greedy, pruning);
         count_embeddings(q, g, &cfg).unwrap().stats.search_nodes
     };
     let suite = cfl_datasets::pruning_stress_suite(1);

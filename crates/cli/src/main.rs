@@ -63,11 +63,11 @@ fn usage() {
                [--print] [--count-only] [--checksum] [--stats] [--stats-json]\n  \
          serve <data> [--listen HOST:PORT] [--name GRAPH] [--workers N] [--queue-depth N]\n        \
                [--batch N] [--default-limit N] [--default-deadline-ms N]\n        \
-               [--plan-cache] [--build-threads N]\n  \
+               [--plan-cache]\n  \
          stats <graph> [--top N]\n  \
          workload <hprd|yeast|human|dblp|wordnet|synthetic> [--scale N] [--queries N] -o DIR\n  \
          verify [<query> <data>] [--scale N] [--labels L] [--size N] [--seed S]\n        \
-               [--variant cfl|cf|match|naive|topdown] [--build-threads N]"
+               [--variant cfl|cf|match|naive|topdown]"
     );
 }
 
@@ -477,7 +477,6 @@ fn cmd_serve(args: &[String]) {
             "batch",
             "default-limit",
             "default-deadline-ms",
-            "build-threads",
         ],
     );
     let Some(path) = f.positional.first() else {
@@ -498,7 +497,6 @@ fn cmd_serve(args: &[String]) {
         default_limit,
         default_deadline,
         plan_cache: f.has("plan-cache"),
-        build_threads: f.get_parse("build-threads", 1usize).max(1),
     };
     let name = f.get("name").unwrap_or("default").to_string();
     let workers = config.workers;
@@ -616,15 +614,7 @@ fn save_query_set(
 fn cmd_verify(args: &[String]) {
     let f = Flags::parse(
         args,
-        &[
-            "scale",
-            "labels",
-            "size",
-            "seed",
-            "density",
-            "variant",
-            "build-threads",
-        ],
+        &["scale", "labels", "size", "seed", "density", "variant"],
     );
     let (q, g) = match f.positional.len() {
         2 => (
@@ -676,8 +666,7 @@ fn cmd_verify(args: &[String]) {
             eprintln!("unknown variant {other:?} (cfl|cf|match|naive|topdown)");
             exit(2);
         }
-    }
-    .with_build_threads(f.get_parse("build-threads", 1usize).max(1));
+    };
 
     println!(
         "data graph: {} vertices, {} edges, {} labels",

@@ -38,8 +38,8 @@ use crate::filters::{cand_verify_stats, FilterContext, FilterOptions, GraphStats
 use crate::order::OrderPlan;
 use crate::result::MatchStats;
 use crate::root::select_root_with_candidates;
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound on cached plans per [`PlanCache`]. Workloads rarely use
 /// more than a few dozen query templates; beyond that LRU recency keeps
@@ -48,8 +48,8 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
 /// The preparation-relevant slice of a [`MatchConfig`]: two configs with
 /// equal signatures produce identical CPIs, orders and decompositions.
-/// `budget` (enumeration-only) and `build_threads` (the build is
-/// thread-count invariant — CI gates on it) are deliberately excluded.
+/// `budget` (enumeration-only) and the ignored `build_threads` are
+/// deliberately excluded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct ConfigSig {
     cpi: CpiMode,
@@ -186,7 +186,7 @@ impl PlanCache {
         self.lock().clear();
     }
 
-    fn lock(&self) -> crate::sync::MutexGuard<'_, Vec<Entry>> {
+    fn lock(&self) -> MutexGuard<'_, Vec<Entry>> {
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 

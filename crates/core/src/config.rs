@@ -3,8 +3,8 @@
 use std::time::Duration;
 
 use crate::filters::FilterOptions;
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A shared cooperative-cancellation handle.
 ///
@@ -171,15 +171,14 @@ pub struct MatchConfig {
     pub order: OrderStrategy,
     /// Backtrack-pruning strategy used during enumeration. Does not affect
     /// preparation, so it is deliberately excluded from the plan-cache
-    /// signature — like `budget` and `build_threads`.
+    /// signature — like `budget`.
     pub pruning: PruningKind,
     /// Optional candidate filters (§A.6 ablation knobs).
     pub filters: FilterOptions,
     /// Resource limits.
     pub budget: Budget,
-    /// Worker-pool participants for CPI construction (`1` = serial). The
-    /// count affects only build speed, never results: parallel builds are
-    /// byte-identical to serial ones.
+    /// Ignored: the CPI build is serial. Kept only because the benchmark
+    /// package reads it; removed with the next change to that package.
     pub build_threads: usize,
 }
 
@@ -260,12 +259,6 @@ impl MatchConfig {
         self
     }
 
-    /// Sets the CPI build-phase thread count (clamped to ≥ 1 at use).
-    pub fn with_build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = threads;
-        self
-    }
-
     /// Replaces the backtrack-pruning strategy.
     pub fn with_pruning(mut self, pruning: PruningKind) -> Self {
         self.pruning = pruning;
@@ -305,15 +298,6 @@ mod tests {
         let c = MatchConfig::variant_core_hierarchy();
         assert_eq!(c.order, OrderStrategy::CoreHierarchy);
         assert_eq!(MatchConfig::default().order, OrderStrategy::Greedy);
-    }
-
-    #[test]
-    fn build_threads_default_and_builder() {
-        assert_eq!(MatchConfig::default().build_threads, 1);
-        assert_eq!(
-            MatchConfig::default().with_build_threads(4).build_threads,
-            4
-        );
     }
 
     #[test]

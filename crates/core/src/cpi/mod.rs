@@ -40,12 +40,6 @@
 //!   are produced by filtering an ascending CSR neighbor slice against the
 //!   ascending candidate array, so positions inherit the order and carry
 //!   no duplicates.
-//!
-//! Construction may run its per-level phases on the build worker pool
-//! ([`Cpi::build_with`]); the frozen arenas are byte-identical for every
-//! thread count, because each parallel task depends only on state
-//! finalized before its phase began and all task outputs are committed or
-//! spliced in vertex order.
 
 mod naive;
 pub(crate) mod refine;
@@ -58,7 +52,6 @@ use cfl_graph::{BfsTree, FixedBitSet, Graph, VertexId};
 
 use crate::config::CpiMode;
 use crate::filters::FilterContext;
-use crate::pool::parallel_map;
 use scratch::with_scratch;
 
 /// The finalized, immutable compact path-index (flat arena layout; see the
@@ -82,47 +75,31 @@ pub struct Cpi {
 }
 
 impl Cpi {
-    /// Builds the CPI serially. Equivalent to [`Cpi::build_with`] at one
-    /// thread.
-    pub fn build(ctx: &FilterContext<'_>, root: VertexId, mode: CpiMode) -> Cpi {
-        Cpi::build_with(ctx, root, mode, 1)
-    }
-
     /// Builds the CPI for `ctx.q` over `ctx.g` with BFS tree rooted at
-    /// `root`, under the requested construction mode, running the
-    /// per-level construction phases across up to `threads` participants
-    /// on the build worker pool.
-    ///
-    /// The thread count only affects speed: the frozen arenas are
-    /// byte-identical for every value (asserted by the
-    /// `parallel_build_matches_serial` property test and the CI checksum
-    /// gate). The naive mode is a measurement baseline and always builds
-    /// serially.
-    pub fn build_with(
-        ctx: &FilterContext<'_>,
-        root: VertexId,
-        mode: CpiMode,
-        threads: usize,
-    ) -> Cpi {
-        Cpi::build_inner(ctx, root, None, mode, threads)
+    /// `root`, under the requested construction mode.
+    pub fn build(ctx: &FilterContext<'_>, root: VertexId, mode: CpiMode) -> Cpi {
+        Cpi::build_inner(ctx, root, None, mode)
     }
 
-    /// Like [`Cpi::build_with`], but seeds the root's candidate set with a
+    /// Like [`Cpi::build`], but seeds the root's candidate set with a
     /// pre-verified, strictly ascending list — typically the one root
     /// selection already refined
     /// ([`crate::root::select_root_with_candidates`]), which saves
     /// re-filtering the label index for the root. The result is identical
-    /// to [`Cpi::build_with`] whenever the seed equals the root's verified
+    /// to [`Cpi::build`] whenever the seed equals the root's verified
     /// candidate set (debug-asserted). The naive measurement baseline
     /// ignores the seed and recomputes from scratch.
+    ///
+    /// `_threads` is ignored: the build is serial. The argument is removed
+    /// with the next change to the benchmark package, which calls this.
     pub fn build_seeded(
         ctx: &FilterContext<'_>,
         root: VertexId,
         root_cands: Vec<VertexId>,
         mode: CpiMode,
-        threads: usize,
+        _threads: usize,
     ) -> Cpi {
-        Cpi::build_inner(ctx, root, Some(root_cands), mode, threads)
+        Cpi::build_inner(ctx, root, Some(root_cands), mode)
     }
 
     fn build_inner(
@@ -130,12 +107,10 @@ impl Cpi {
         root: VertexId,
         seed: Option<Vec<VertexId>>,
         mode: CpiMode,
-        threads: usize,
     ) -> Cpi {
-        let threads = threads.max(1);
         let top_down = |seed: Option<Vec<VertexId>>| match seed {
-            Some(cands) => topdown::top_down_seeded(ctx, root, cands, threads),
-            None => topdown::top_down_with(ctx, root, threads),
+            Some(cands) => topdown::top_down_seeded(ctx, root, cands),
+            None => topdown::top_down(ctx, root),
         };
         // Sub-phase wall clocks only exist under the trace feature; the
         // default build keeps the exact straight-line phase sequence.
@@ -163,15 +138,15 @@ impl Cpi {
                 let mut builder = timed!(TopDownNs, top_down(seed));
                 let orphans = timed!(PruneNs, builder.prune_unreachable());
                 ctx.rec(cfl_trace::BuildCounter::UnreachableKills, orphans);
-                timed!(FreezeNs, builder.freeze_with(ctx.q, ctx.g, threads))
+                timed!(FreezeNs, builder.freeze(ctx.q, ctx.g))
             }
             CpiMode::TopDownRefined => {
                 let mut builder = timed!(TopDownNs, top_down(seed));
-                let kills = timed!(RefineNs, refine::bottom_up_with(ctx, &mut builder, threads));
+                let kills = timed!(RefineNs, refine::bottom_up(ctx, &mut builder));
                 ctx.rec(cfl_trace::BuildCounter::RefineKills, kills);
                 let orphans = timed!(PruneNs, builder.prune_unreachable());
                 ctx.rec(cfl_trace::BuildCounter::UnreachableKills, orphans);
-                timed!(FreezeNs, builder.freeze_with(ctx.q, ctx.g, threads))
+                timed!(FreezeNs, builder.freeze(ctx.q, ctx.g))
             }
         }
     }
@@ -241,8 +216,8 @@ impl Cpi {
 
     /// Order-sensitive FNV-1a digest over all five arenas (lengths
     /// included). Two CPIs have equal checksums iff their flat storage is
-    /// byte-identical — the property the bench harness and CI use to gate
-    /// parallel builds against the serial reference.
+    /// byte-identical — the property the identity tests use to pin the
+    /// built index to recorded golden values.
     pub fn checksum(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mix = |h: &mut u64, words: &[u32]| {
@@ -518,102 +493,80 @@ impl CpiBuilder {
         total
     }
 
-    /// Freezes the builder into the final flat-arena [`Cpi`] serially.
-    pub(crate) fn freeze(self, q: &Graph, g: &Graph) -> Cpi {
-        self.freeze_with(q, g, 1)
-    }
-
-    /// Freezes the builder into the final flat-arena [`Cpi`], running the
-    /// per-vertex compaction work across up to `threads` participants.
+    /// Freezes the builder into the final flat-arena [`Cpi`].
     ///
-    /// Three phases: (A) per-vertex final candidate slices (sorted,
-    /// alive-only); (B) per-vertex row blocks — each adjacency row
-    /// remapped from data-vertex ids to final positions through a pooled
-    /// `|V(G)|`-sized lookup, dropping entries that point at dead
-    /// candidates, with offsets relative to the vertex's own block; (C) a
-    /// serial splice concatenating the per-vertex results into the four
-    /// arenas in vertex order. Phases A and B are embarrassingly parallel
-    /// (they read only the immutable builder), and the splice is
-    /// deterministic, so the arena bytes never depend on the thread count.
-    pub(crate) fn freeze_with(self, q: &Graph, g: &Graph, threads: usize) -> Cpi {
+    /// Two passes, both in vertex order: (A) each vertex's final candidate
+    /// slice (alive-only, sorted) is appended to the candidate arena; (B)
+    /// each non-root vertex's adjacency rows are remapped from data-vertex
+    /// ids to final positions through a pooled `|V(G)|`-sized lookup,
+    /// dropping entries that point at dead candidates, and appended to the
+    /// row arena with absolute offsets.
+    pub(crate) fn freeze(self, q: &Graph, g: &Graph) -> Cpi {
         let n = q.num_vertices();
-        let final_cands: Vec<Vec<VertexId>> = parallel_map(threads, n, |u| {
-            let mut c: Vec<VertexId> = self.candidates[u]
-                .iter()
-                .zip(&self.alive[u])
-                .filter_map(|(&v, &a)| a.then_some(v))
-                .collect();
-            c.sort_unstable();
-            c
-        });
-
-        // Per-vertex blocks: (offsets relative to the block, row data).
-        type Block = (Vec<u32>, Vec<u32>);
-        let blocks: Vec<Option<Block>> = parallel_map(threads, n, |ui| {
-            let parent = self.tree.parent(ui as VertexId)?;
-            let parent = parent as usize;
-            Some(with_scratch(g.num_vertices(), |scr| {
-                let child_c = &final_cands[ui];
-                for (pos, &v) in child_c.iter().enumerate() {
-                    scr.pos_of[v as usize] = pos as u32;
-                }
-
-                // Rows are indexed by the *original* parent candidate
-                // order; emit them in the final (sorted, alive-only)
-                // parent order.
-                let orig_parent = &self.candidates[parent];
-                let parent_alive = &self.alive[parent];
-                let mut order = std::mem::take(&mut scr.list);
-                order.extend((0..orig_parent.len() as u32).filter(|&i| parent_alive[i as usize]));
-                order.sort_unstable_by_key(|&i| orig_parent[i as usize]);
-                debug_assert_eq!(order.len(), final_cands[parent].len());
-
-                let mut offsets: Vec<u32> = Vec::with_capacity(order.len() + 1);
-                let mut data: Vec<u32> = Vec::new();
-                offsets.push(0);
-                let rows = &self.rows[ui];
-                for &i in &order {
-                    if (i as usize) < rows.num_rows() {
-                        for &v in rows.row(i as usize) {
-                            let pos = scr.pos_of[v as usize];
-                            if pos != u32::MAX {
-                                data.push(pos);
-                            }
-                        }
-                    }
-                    offsets.push(data.len() as u32);
-                }
-
-                for &v in child_c {
-                    scr.pos_of[v as usize] = u32::MAX;
-                }
-                order.clear();
-                scr.list = order;
-                (offsets, data)
-            }))
-        });
-
-        // Deterministic splice, vertex order. Arena bytes depend only on
-        // the per-vertex task outputs, never on scheduling.
         let mut cand_offsets: Vec<u32> = Vec::with_capacity(n + 1);
         let mut cand_data: Vec<VertexId> = Vec::new();
         cand_offsets.push(0);
-        for c in &final_cands {
-            cand_data.extend_from_slice(c);
+        for u in 0..n {
+            let lo = cand_data.len();
+            cand_data.extend(
+                self.candidates[u]
+                    .iter()
+                    .zip(&self.alive[u])
+                    .filter_map(|(&v, &a)| a.then_some(v)),
+            );
+            cand_data[lo..].sort_unstable();
             cand_offsets.push(cand_data.len() as u32);
         }
+        let final_cands =
+            |u: usize| &cand_data[cand_offsets[u] as usize..cand_offsets[u + 1] as usize];
+
         let mut row_starts: Vec<u32> = Vec::with_capacity(n + 1);
         let mut row_offsets: Vec<u32> = Vec::new();
         let mut row_data: Vec<u32> = Vec::new();
         row_starts.push(0);
-        for block in &blocks {
-            if let Some((offsets, data)) = block {
-                let base = row_data.len() as u32;
-                row_offsets.extend(offsets.iter().map(|&o| base + o));
-                row_data.extend_from_slice(data);
+        with_scratch(g.num_vertices(), |scr| {
+            for ui in 0..n {
+                if let Some(parent) = self.tree.parent(ui as VertexId) {
+                    let parent = parent as usize;
+                    let child_c = final_cands(ui);
+                    for (pos, &v) in child_c.iter().enumerate() {
+                        scr.pos_of[v as usize] = pos as u32;
+                    }
+
+                    // Rows are indexed by the *original* parent candidate
+                    // order; emit them in the final (sorted, alive-only)
+                    // parent order.
+                    let orig_parent = &self.candidates[parent];
+                    let parent_alive = &self.alive[parent];
+                    let order = &mut scr.list;
+                    order.extend(
+                        (0..orig_parent.len() as u32).filter(|&i| parent_alive[i as usize]),
+                    );
+                    order.sort_unstable_by_key(|&i| orig_parent[i as usize]);
+                    debug_assert_eq!(order.len(), final_cands(parent).len());
+
+                    row_offsets.push(row_data.len() as u32);
+                    let rows = &self.rows[ui];
+                    for &i in order.iter() {
+                        if (i as usize) < rows.num_rows() {
+                            for &v in rows.row(i as usize) {
+                                let pos = scr.pos_of[v as usize];
+                                if pos != u32::MAX {
+                                    row_data.push(pos);
+                                }
+                            }
+                        }
+                        row_offsets.push(row_data.len() as u32);
+                    }
+
+                    for &v in child_c {
+                        scr.pos_of[v as usize] = u32::MAX;
+                    }
+                    order.clear();
+                }
+                row_starts.push(row_offsets.len() as u32);
             }
-            row_starts.push(row_offsets.len() as u32);
-        }
+        });
 
         Cpi {
             tree: self.tree,
@@ -905,30 +858,6 @@ mod tests {
                 let (cands, edges) = cpi.arena_totals();
                 prop_assert_eq!(cands, cpi.total_candidates());
                 prop_assert_eq!(edges, cpi.total_edges());
-            }
-        }
-
-        /// Parallel builds produce byte-identical flat arenas to the serial
-        /// build at every thread count 1–8, in every construction mode.
-        #[test]
-        fn parallel_build_matches_serial(
-            q in connected_graph(2..7, 3, 4),
-            g in connected_graph(7..24, 3, 16),
-        ) {
-            let qs = GraphStats::build(&q);
-            let gs = GraphStats::build(&g);
-            let ctx = FilterContext::new(&q, &g, &qs, &gs);
-            for mode in [CpiMode::TopDown, CpiMode::TopDownRefined] {
-                let serial = Cpi::build(&ctx, 0, mode);
-                for threads in 1..=8usize {
-                    let par = Cpi::build_with(&ctx, 0, mode, threads);
-                    prop_assert_eq!(&par.cand_data, &serial.cand_data);
-                    prop_assert_eq!(&par.cand_offsets, &serial.cand_offsets);
-                    prop_assert_eq!(&par.row_data, &serial.row_data);
-                    prop_assert_eq!(&par.row_offsets, &serial.row_offsets);
-                    prop_assert_eq!(&par.row_starts, &serial.row_starts);
-                    prop_assert_eq!(par.checksum(), serial.checksum());
-                }
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Bottom-up CPI refinement — Algorithm 4, level-synchronous.
+//! Bottom-up CPI refinement — Algorithm 4, level by level.
 //!
 //! The top-down pass only exploits ancestors, so a candidate may lack any
 //! neighbor among the candidates of its children (downward tree edges and
@@ -8,13 +8,10 @@
 //! plus [`CpiBuilder::freeze`](super::CpiBuilder::freeze), which drops every
 //! entry touching a dead candidate.
 //!
-//! Within a level every vertex's pruning decision reads only the alive
-//! flags of strictly *deeper* vertices — finalized by earlier level
-//! iterations — so the per-vertex kill lists are computed as independent
-//! tasks on the build worker pool and applied serially at a per-level
-//! barrier. The applied flags are therefore identical to the sequential
-//! sweep's for every thread count. Vertices that lose candidates are
-//! recorded in the builder's dirty set, which is what lets
+//! A vertex's pruning decision reads only its own alive flags and those of
+//! strictly *deeper* vertices, finalized by earlier level iterations, so
+//! kills are applied the moment they are found. Vertices that lose
+//! candidates are recorded in the builder's dirty set, which is what lets
 //! `prune_unreachable` skip untouched subtrees afterwards.
 
 use cfl_graph::VertexId;
@@ -22,20 +19,12 @@ use cfl_graph::VertexId;
 use super::scratch::with_scratch;
 use super::CpiBuilder;
 use crate::filters::FilterContext;
-use crate::pool::parallel_map;
 
-/// Runs Algorithm 4 serially.
-#[cfg(any(test, feature = "oracle"))]
-pub(crate) fn bottom_up(ctx: &FilterContext<'_>, s: &mut CpiBuilder) {
-    bottom_up_with(ctx, s, 1);
-}
-
-/// Runs Algorithm 4 over a top-down builder, flipping alive flags, with
-/// per-level parallelism across up to `threads` participants. Returns the
-/// number of candidates killed (the refinement-effectiveness counter the
-/// trace layer reports; computing it is two integer adds per kill, so it
-/// is returned unconditionally rather than feature-gated).
-pub(crate) fn bottom_up_with(ctx: &FilterContext<'_>, s: &mut CpiBuilder, threads: usize) -> u64 {
+/// Runs Algorithm 4 over a top-down builder, flipping alive flags. Returns
+/// the number of candidates killed (the refinement-effectiveness counter
+/// the trace layer reports; computing it is one integer add per kill, so
+/// it is returned unconditionally rather than feature-gated).
+pub(crate) fn bottom_up(ctx: &FilterContext<'_>, s: &mut CpiBuilder) -> u64 {
     // The alive bitmaps must stay parallel to the candidate arrays — the
     // flips below index both by the same position.
     debug_assert!(s
@@ -47,32 +36,25 @@ pub(crate) fn bottom_up_with(ctx: &FilterContext<'_>, s: &mut CpiBuilder, thread
     let mut killed: u64 = 0;
     for lev in (1..=s.tree.num_levels()).rev() {
         let vlev: Vec<VertexId> = s.tree.level_vertices(lev).to_vec();
-        // Kill lists are computed against deeper levels only, so the tasks
-        // of one level never observe each other's flips.
-        let deads: Vec<Vec<u32>> =
-            parallel_map(threads, vlev.len(), |idx| dead_positions(ctx, s, vlev[idx]));
-        for (&u, dead) in vlev.iter().zip(&deads) {
-            if dead.is_empty() {
-                continue;
+        for &u in &vlev {
+            let dead = kill_unsupported(ctx, s, u);
+            if dead > 0 {
+                killed += dead;
+                // Candidates died after u's rows and children were built:
+                // orphans may now exist below u (see `prune_unreachable`).
+                s.dirty.insert(u);
             }
-            killed += dead.len() as u64;
-            let ui = u as usize;
-            for &i in dead {
-                s.alive[ui][i as usize] = false;
-            }
-            // Candidates died after u's rows and children were built:
-            // orphans may now exist below u (see `prune_unreachable`).
-            s.dirty.insert(u);
         }
     }
     killed
 }
 
-/// Candidate positions of `u` that lack a neighbor among the alive
-/// candidates of some lower-level query neighbor (tree child or downward
-/// C-NTE). The label/degree gate of Lemma 5.1's counter pass is already
-/// implied — every candidate of `u` passed it during generation.
-fn dead_positions(ctx: &FilterContext<'_>, s: &CpiBuilder, u: VertexId) -> Vec<u32> {
+/// Kills every alive candidate of `u` that lacks a neighbor among the
+/// alive candidates of some lower-level query neighbor (tree child or
+/// downward C-NTE) and returns how many died. The label/degree gate of
+/// Lemma 5.1's counter pass is already implied — every candidate of `u`
+/// passed it during generation.
+fn kill_unsupported(ctx: &FilterContext<'_>, s: &mut CpiBuilder, u: VertexId) -> u64 {
     let q = ctx.q;
     let g = ctx.g;
     let lev = s.tree.level(u);
@@ -83,13 +65,13 @@ fn dead_positions(ctx: &FilterContext<'_>, s: &CpiBuilder, u: VertexId) -> Vec<u
         .filter(|&w| s.tree.level(w) > lev)
         .collect();
     if lower.is_empty() {
-        return Vec::new();
+        return 0;
     }
 
     let ui = u as usize;
     let adj = &ctx.g_stats.label_adj;
     let lu = q.label(u);
-    let mut dead: Vec<u32> = Vec::new();
+    let mut dead: u64 = 0;
     with_scratch(g.num_vertices(), |scr| {
         let mut live = std::mem::take(&mut scr.list);
         live.extend((0..s.candidates[ui].len() as u32).filter(|&i| s.alive[ui][i as usize]));
@@ -104,10 +86,12 @@ fn dead_positions(ctx: &FilterContext<'_>, s: &CpiBuilder, u: VertexId) -> Vec<u
             for vw in s.alive_candidates(w) {
                 scr.mask.insert_all(adj.neighbors_with_label(vw, lu));
             }
+            let (cands, alive) = (&s.candidates[ui], &mut s.alive[ui]);
             live.retain(|&i| {
-                let keep = scr.mask.contains(s.candidates[ui][i as usize]);
+                let keep = scr.mask.contains(cands[i as usize]);
                 if !keep {
-                    dead.push(i);
+                    alive[i as usize] = false;
+                    dead += 1;
                 }
                 keep
             });

@@ -1,23 +1,25 @@
-//! Reusable per-task scratch for CPI construction.
+//! Reusable scratch for CPI construction.
 //!
-//! Every build task (candidate generation, row construction, refinement,
+//! Every build step (candidate generation, row construction, refinement,
 //! freeze remapping) needs the same few `O(|V(G)|)` working buffers. They
 //! used to be allocated per build — and the nested row representation
 //! allocated per *vertex* — which put the allocator on the hot path. This
 //! module keeps a small process-wide free list of [`BuildScratch`] blocks:
-//! a task checks one out, uses it, restores it to the clean state and puts
+//! a step checks one out, uses it, restores it to the clean state and puts
 //! it back, so steady-state construction performs no `O(|V(G)|)`
-//! allocations at all and concurrent build tasks never share a buffer.
+//! allocations at all. The list is shared because `cfl serve` workers
+//! build CPIs concurrently, and two builds must never share a buffer.
 
-use crate::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use cfl_graph::FixedBitSet;
 
-/// Cap on pooled blocks: enough for every pool worker plus a few nested
-/// callers; beyond that, blocks are simply dropped.
+/// Cap on pooled blocks. A build holds one block at a time, so this
+/// covers one per concurrently building serve worker with room to spare;
+/// beyond that, returned blocks are simply dropped.
 const MAX_POOLED: usize = 16;
 
-/// Working memory for one build task. Invariant between checkouts: both
+/// Working memory for one build step. Invariant between checkouts: both
 /// bitsets empty, `pos_of` all `u32::MAX`, `list` empty — callers restore
 /// this (cheaply, via the keys they touched) instead of paying a full
 /// clear on checkout.

@@ -1,21 +1,19 @@
-//! Top-down CPI construction — Algorithm 3, level-synchronous.
+//! Top-down CPI construction — Algorithm 3, level by level.
 //!
-//! Query vertices are processed level by level down the BFS tree; within a
-//! level the work runs as independent per-vertex tasks on the build worker
-//! pool ([`crate::pool`]), with a barrier between three phases:
+//! Query vertices are processed level by level down the BFS tree, each
+//! level in three phases:
 //!
 //! 1. **Forward candidate generation** (lines 5–17): `C(u)` is the set of
 //!    data vertices passing the label/degree and CandVerify filters that
 //!    have a neighbor in `C(w)` for *every* upper-level query neighbor `w`
 //!    (the BFS parent and upward C-NTE endpoints). Upper-level sets were
-//!    finalized by the previous level iteration, so these tasks are
-//!    independent. Lemma 5.1's per-vertex counter array is replaced by
-//!    neighborhood bitset masks: the initial list comes from the smallest
-//!    upper set's neighborhood, and every further constraint is one
-//!    bit-test per surviving entry.
+//!    finalized by the previous level iteration. Lemma 5.1's per-vertex
+//!    counter array is replaced by neighborhood bitset masks: the initial
+//!    list comes from the smallest upper set's neighborhood, and every
+//!    further constraint is one bit-test per surviving entry.
 //! 2. **Same-level S-NTE pruning** (the interleaving of lines 5–17 with
-//!    the backward pass of lines 18–23; serial): a forward sweep prunes
-//!    each vertex against its *earlier* same-level neighbors and a reverse
+//!    the backward pass of lines 18–23): a forward sweep prunes each
+//!    vertex against its *earlier* same-level neighbors and a reverse
 //!    sweep against its *later* ones. Sweeping in index order reproduces
 //!    exactly the candidate-set states the sequential algorithm observes —
 //!    the forward sweep sees each earlier set with its own earlier-neighbor
@@ -40,17 +38,9 @@ use cfl_graph::{BfsTree, FixedBitSet, VertexId};
 use super::scratch::with_scratch;
 use super::{CpiBuilder, FlatRows};
 use crate::filters::FilterContext;
-use crate::pool::parallel_map;
 
-/// Runs Algorithm 3 serially.
-#[cfg(any(test, feature = "oracle"))]
+/// Runs Algorithm 3, computing the root candidate set itself (lines 1–2).
 pub(crate) fn top_down(ctx: &FilterContext<'_>, root: VertexId) -> CpiBuilder {
-    top_down_with(ctx, root, 1)
-}
-
-/// Runs Algorithm 3 with per-level parallelism across up to `threads`
-/// participants, computing the root candidate set itself (lines 1–2).
-pub(crate) fn top_down_with(ctx: &FilterContext<'_>, root: VertexId, threads: usize) -> CpiBuilder {
     let mut root_cands: Vec<VertexId> = ctx.light_candidates(root).collect();
     // When tracing, the root's light candidates count as seeded and
     // CandVerify kills are attributed per stage; `top_down_seeded` below
@@ -58,33 +48,28 @@ pub(crate) fn top_down_with(ctx: &FilterContext<'_>, root: VertexId, threads: us
     ctx.rec(cfl_trace::BuildCounter::Seeded, root_cands.len() as u64);
     ctx.retain_verified(&mut root_cands, root);
     root_cands.sort_unstable();
-    top_down_seeded_inner(ctx, root, root_cands, threads, false)
+    top_down_seeded_inner(ctx, root, root_cands, false)
 }
 
 /// Runs Algorithm 3 from a pre-verified root candidate set (strictly
 /// ascending — typically the list root selection already refined, see
-/// [`crate::root::select_root_with_candidates`]). The builder contents
-/// are identical for every thread count: each phase's tasks read only
-/// state finalized before the phase began, and results are committed in
-/// vertex order.
+/// [`crate::root::select_root_with_candidates`]).
 pub(crate) fn top_down_seeded(
     ctx: &FilterContext<'_>,
     root: VertexId,
     root_cands: Vec<VertexId>,
-    threads: usize,
 ) -> CpiBuilder {
-    top_down_seeded_inner(ctx, root, root_cands, threads, true)
+    top_down_seeded_inner(ctx, root, root_cands, true)
 }
 
 /// `count_root_seed` distinguishes the externally-seeded entry point
 /// (the pre-verified root list counts as seeded with zero kills — its
-/// filtering happened during root selection) from [`top_down_with`],
-/// which already recorded the root's seed count and kills itself.
+/// filtering happened during root selection) from [`top_down`], which
+/// already recorded the root's seed count and kills itself.
 fn top_down_seeded_inner(
     ctx: &FilterContext<'_>,
     root: VertexId,
     root_cands: Vec<VertexId>,
-    threads: usize,
     count_root_seed: bool,
 ) -> CpiBuilder {
     if count_root_seed {
@@ -104,22 +89,19 @@ fn top_down_seeded_inner(
     for lev in 2..=num_levels {
         let vlev: Vec<VertexId> = s.tree.level_vertices(lev).to_vec();
 
-        // Phase 1: forward generation against upper-level sets only.
-        let generated: Vec<Vec<VertexId>> = parallel_map(threads, vlev.len(), |idx| {
-            generate_candidates(ctx, &s, vlev[idx])
-        });
-        for (&u, cands) in vlev.iter().zip(generated) {
-            s.candidates[u as usize] = cands;
+        // Phase 1: forward generation against upper-level sets only, so
+        // writing each set straight into the builder cannot affect the
+        // rest of the level.
+        for &u in &vlev {
+            s.candidates[u as usize] = generate_candidates(ctx, &s, u);
         }
 
         // Phase 2: same-level S-NTE constraints, both directions.
         same_level_prune(ctx, &mut s, &vlev);
 
         // Phase 3: adjacency rows along the tree edge from the parent.
-        let built: Vec<FlatRows> =
-            parallel_map(threads, vlev.len(), |idx| build_rows(ctx, &s, vlev[idx]));
-        for (&u, rows) in vlev.iter().zip(built) {
-            s.rows[u as usize] = rows;
+        for &u in &vlev {
+            s.rows[u as usize] = build_rows(ctx, &s, u);
         }
     }
 
@@ -137,7 +119,7 @@ fn top_down_seeded_inner(
     s
 }
 
-/// Phase 1 task: the candidate set of `u` constrained by every
+/// Phase 1: the candidate set of `u` constrained by every
 /// *upper-level* query neighbor (finalized in earlier level iterations),
 /// the label/degree filter, and CandVerify. Returns a strictly ascending
 /// list.
@@ -207,7 +189,7 @@ fn generate_candidates(ctx: &FilterContext<'_>, s: &CpiBuilder, u: VertexId) -> 
     list
 }
 
-/// Phase 2: applies same-level (S-NTE) constraints serially — a forward
+/// Phase 2: applies same-level (S-NTE) constraints — a forward
 /// sweep pruning each vertex against its earlier same-level neighbors,
 /// then a reverse sweep against its later ones (Algorithm 3's backward
 /// pass). No-op for levels without same-level edges.
@@ -260,7 +242,7 @@ fn same_level_prune(ctx: &FilterContext<'_>, s: &mut CpiBuilder, vlev: &[VertexI
     });
 }
 
-/// Phase 3 task: the adjacency rows of `u` along its tree edge — for each
+/// Phase 3: the adjacency rows of `u` along its tree edge — for each
 /// parent candidate `v_p` (in candidate order), `N(v_p) ∩ C(u)`. The
 /// membership bitset over `C(u)` is built once and probed per parent
 /// candidate, so each row costs one bit-test per CSR neighbor; the label
@@ -422,29 +404,5 @@ mod tests {
         assert!(cpi.candidates(0).contains(&0) && cpi.candidates(0).contains(&3));
         assert!(cpi.candidates(1).contains(&1) && cpi.candidates(1).contains(&4));
         assert!(cpi.candidates(2).contains(&2) && cpi.candidates(2).contains(&5));
-    }
-
-    #[test]
-    fn parallel_threads_produce_identical_builders() {
-        let (q, g) = figure7_graphs();
-        let qs = GraphStats::build(&q);
-        let gs = GraphStats::build(&g);
-        let ctx = FilterContext::new(&q, &g, &qs, &gs);
-        let serial = top_down(&ctx, 0);
-        for threads in 2..=8 {
-            let par = top_down_with(&ctx, 0, threads);
-            assert_eq!(par.candidates, serial.candidates, "{threads} threads");
-            for u in q.vertices() {
-                let ui = u as usize;
-                assert_eq!(
-                    par.rows[ui].data, serial.rows[ui].data,
-                    "{threads} threads, u{u} row data"
-                );
-                assert_eq!(
-                    par.rows[ui].ends, serial.rows[ui].ends,
-                    "{threads} threads, u{u} row ends"
-                );
-            }
-        }
     }
 }

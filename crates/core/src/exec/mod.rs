@@ -24,7 +24,7 @@ use crate::order::{compute_order_with, OrderPlan};
 use crate::result::{Embedding, MatchReport, MatchStats};
 use crate::root::select_root_with_candidates;
 use crate::session::DataGraph;
-use crate::sync::Arc;
+use std::sync::Arc;
 
 use enumerate::Enumerator;
 use strategy::dispatch_strategies;
@@ -143,13 +143,7 @@ pub(crate) fn prepare_with(
     let (root, root_cands) = select_root_with_candidates(&ctx, &eligible);
 
     let decomposition = CflDecomposition::compute(q, root, config.decomposition);
-    let cpi = Arc::new(Cpi::build_seeded(
-        &ctx,
-        root,
-        root_cands,
-        config.cpi,
-        config.build_threads,
-    ));
+    let cpi = Arc::new(Cpi::build_seeded(&ctx, root, root_cands, config.cpi, 1));
     let build_time = build_start.elapsed();
     #[cfg(feature = "trace")]
     drop(build_span);

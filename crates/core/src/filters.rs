@@ -11,7 +11,7 @@
 //! `CandVerify` checks the cheap MND filter before the `O(|L_N(u)|)` NLF
 //! filter.
 
-use crate::sync::Arc;
+use std::sync::Arc;
 
 use cfl_graph::{Graph, Label, NlfIndex, StatTables, VertexId};
 

@@ -48,17 +48,13 @@ pub mod error;
 pub mod exec;
 pub mod extended;
 pub mod filters;
-#[cfg(all(test, feature = "loom-model"))]
-mod models;
 #[cfg(feature = "oracle")]
 pub mod oracle;
 pub mod order;
-mod pool;
 pub mod result;
 pub mod root;
 pub mod serve;
 pub mod session;
-pub(crate) mod sync;
 #[cfg(feature = "validate")]
 pub mod validate;
 

@@ -35,6 +35,7 @@
 //! full queue or a shut-down engine counts as `rejected`.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use cfl_graph::{DeltaError, Graph, GraphDelta, VertexId};
@@ -44,9 +45,10 @@ use crate::cache::PlanCache;
 use crate::config::{Budget, CancelToken, MatchConfig};
 use crate::result::{EmbeddingChecksum, MatchOutcome};
 use crate::session::DataGraph;
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use crate::sync::{thread, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread;
 
 /// Sizing and default-budget knobs for an [`Engine`].
 #[derive(Clone, Debug)]
@@ -68,10 +70,6 @@ pub struct EngineConfig {
     /// Attach a shared [`PlanCache`] to each graph, so isomorphic repeat
     /// queries skip CPI construction and deltas restamp surviving plans.
     pub plan_cache: bool,
-    /// Worker threads for *CPI construction* of each query (enumeration
-    /// itself always runs single-threaded for determinism; the CPI a
-    /// parallel build produces is identical to a serial one).
-    pub build_threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -83,7 +81,6 @@ impl Default for EngineConfig {
             default_limit: None,
             default_deadline: None,
             plan_cache: true,
-            build_threads: 1,
         }
     }
 }
@@ -205,7 +202,7 @@ pub enum QueryEvent {
     /// The query finished; no further events follow.
     Done(QueryDone),
     /// The query errored before enumeration (e.g. a disconnected query
-    /// graph); no further events follow.
+    /// graph) or panicked on its worker; no further events follow.
     Failed(String),
 }
 
@@ -395,10 +392,7 @@ impl Engine {
             time_limit: spec.deadline.or(self.config.default_deadline),
             cancel: Some(cancel.clone()),
         };
-        let config = spec
-            .config
-            .with_budget(budget)
-            .with_build_threads(self.config.build_threads.max(1));
+        let config = spec.config.with_budget(budget);
         let (tx, rx) = mpsc::sync_channel::<QueryEvent>(8);
         let job = Job {
             id,
@@ -548,36 +542,42 @@ fn run_job(shared: &Shared, job: Job) {
     let mut abandoned = false;
     let mut batches_sent: u64 = 0;
     let mut streamed: u64 = 0;
-    let result = if job.count_only {
-        session.count_embeddings(&job.query, &job.config)
-    } else {
-        session.find_embeddings(&job.query, &job.config, |mapping| {
-            checksum.update(mapping);
-            batch.push(mapping.to_vec());
-            if batch.len() < job.batch_size {
-                return true;
-            }
-            let full = std::mem::take(&mut batch);
-            let n = full.len() as u64;
-            match job.events.send(QueryEvent::Batch(full)) {
-                Ok(()) => {
-                    batches_sent += 1;
-                    streamed += n;
-                    true
+    // A panicking query must not take its worker down with it: the
+    // worker keeps serving, and the query is booked as failed.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        if job.count_only {
+            session.count_embeddings(&job.query, &job.config)
+        } else {
+            session.find_embeddings(&job.query, &job.config, |mapping| {
+                checksum.update(mapping);
+                batch.push(mapping.to_vec());
+                if batch.len() < job.batch_size {
+                    return true;
                 }
-                Err(_) => {
-                    // Client vanished: stop now and make sure the
-                    // enumerator agrees if it polls before unwinding.
-                    abandoned = true;
-                    job.cancel.cancel();
-                    false
+                let full = std::mem::take(&mut batch);
+                let n = full.len() as u64;
+                match job.events.send(QueryEvent::Batch(full)) {
+                    Ok(()) => {
+                        batches_sent += 1;
+                        streamed += n;
+                        #[cfg(test)]
+                        tests::panic_if_marked(&job.query);
+                        true
+                    }
+                    Err(_) => {
+                        // Client vanished: stop now and make sure the
+                        // enumerator agrees if it polls before unwinding.
+                        abandoned = true;
+                        job.cancel.cancel();
+                        false
+                    }
                 }
-            }
-        })
-    };
+            })
+        }
+    }));
     let elapsed = start.elapsed();
     match result {
-        Ok(report) => {
+        Ok(Ok(report)) => {
             // Flush the tail batch before the terminal event.
             if !abandoned && !batch.is_empty() {
                 let n = batch.len() as u64;
@@ -619,16 +619,110 @@ fn run_job(shared: &Shared, job: Job) {
             }
             let _ = job.events.send(QueryEvent::Done(done));
         }
-        Err(e) => {
-            lock(&shared.registry).remove(&job.id);
-            {
-                let mut t = lock(&shared.counters);
-                t.active -= 1;
-                t.batches += batches_sent;
-                t.embeddings_streamed += streamed;
-                t.failed += 1;
-            }
-            let _ = job.events.send(QueryEvent::Failed(format!("{e}")));
+        Ok(Err(e)) => book_failed(shared, &job, batches_sent, streamed, format!("{e}")),
+        Err(payload) => {
+            let what = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            let message = format!("query panicked: {what}");
+            book_failed(shared, &job, batches_sent, streamed, message);
         }
+    }
+}
+
+/// Books a query that errored or panicked as `failed`, then delivers its
+/// terminal [`QueryEvent::Failed`].
+fn book_failed(shared: &Shared, job: &Job, batches_sent: u64, streamed: u64, message: String) {
+    lock(&shared.registry).remove(&job.id);
+    {
+        let mut t = lock(&shared.counters);
+        t.active -= 1;
+        t.batches += batches_sent;
+        t.embeddings_streamed += streamed;
+        t.failed += 1;
+    }
+    let _ = job.events.send(QueryEvent::Failed(message));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfl_graph::graph_from_edges;
+
+    /// Query vertices carrying this label make the worker panic right
+    /// after it streams a batch (see `run_job`).
+    const PANIC_LABEL: u32 = 9;
+
+    pub(super) fn panic_if_marked(query: &Graph) {
+        if query.vertices().any(|u| query.label(u).0 == PANIC_LABEL) {
+            panic!("injected panic");
+        }
+    }
+
+    /// A 4-cycle of `PANIC_LABEL` vertices beside a labeled triangle.
+    fn data_graph() -> Graph {
+        graph_from_edges(
+            &[PANIC_LABEL, PANIC_LABEL, PANIC_LABEL, PANIC_LABEL, 0, 1, 2],
+            &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)],
+        )
+        .unwrap()
+    }
+
+    fn drain(handle: &QueryHandle) -> QueryEvent {
+        loop {
+            match handle.recv().expect("stream ended without terminal event") {
+                QueryEvent::Batch(_) => {}
+                terminal => return terminal,
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_query_fails_and_keeps_its_worker() {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            batch_size: 1,
+            ..EngineConfig::default()
+        });
+        engine.add_graph("default", data_graph());
+        let edge = graph_from_edges(&[PANIC_LABEL, PANIC_LABEL], &[(0, 1)]).unwrap();
+        let handle = engine.submit(QuerySpec::new("default", edge)).unwrap();
+        let QueryEvent::Failed(message) = drain(&handle) else {
+            panic!("expected a failed query");
+        };
+        assert!(message.contains("injected panic"), "{message}");
+        let t = engine.stats();
+        assert_eq!((t.failed, t.active, t.batches), (1, 0, 1), "{t:?}");
+        assert!(cfl_verify::check_serve_trace(&t).is_clean());
+
+        // The one worker survived and serves the next query exactly like
+        // a one-shot run.
+        let triangle = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2), (2, 0)]).unwrap();
+        let handle = engine
+            .submit(QuerySpec::new("default", triangle.clone()))
+            .unwrap();
+        let QueryEvent::Done(done) = drain(&handle) else {
+            panic!("expected done after the panic");
+        };
+        let g = data_graph();
+        let mut want = EmbeddingChecksum::new();
+        let report = DataGraph::new(&g)
+            .find_embeddings(&triangle, &MatchConfig::exhaustive(), |m| {
+                want.update(m);
+                true
+            })
+            .unwrap();
+        assert_eq!(done.outcome, MatchOutcome::Complete);
+        assert_eq!(
+            (done.embeddings, done.checksum),
+            (report.embeddings, want.digest())
+        );
+        assert_eq!(engine.workers.len(), 1);
+        assert!(engine.workers.iter().all(|h| !h.is_finished()));
+        let t = engine.stats();
+        assert_eq!((t.completed, t.failed), (1, 1), "{t:?}");
+        assert!(cfl_verify::check_serve_trace(&t).is_clean());
     }
 }

@@ -42,8 +42,8 @@ mod tests {
     use crate::config::MatchConfig;
     use crate::result::{EmbeddingChecksum, MatchOutcome};
     use crate::session::DataGraph;
-    use crate::sync::Arc;
     use cfl_graph::{graph_from_edges, Graph, GraphDelta};
+    use std::sync::Arc;
     use std::thread::yield_now;
     use std::time::Duration;
 

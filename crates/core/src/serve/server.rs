@@ -18,8 +18,9 @@ use super::proto::{
     Request,
 };
 use super::QueryEvent;
-use crate::sync::atomic::{AtomicBool, Ordering};
-use crate::sync::{thread, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
 
 /// A running serving endpoint. Dropping it stops the accept loop;
 /// established connections run until their client disconnects.

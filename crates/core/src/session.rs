@@ -24,7 +24,7 @@ use crate::error::Error;
 use crate::exec::{Prepared, SinkRef};
 use crate::filters::GraphStats;
 use crate::result::{Embedding, MatchReport};
-use crate::sync::Arc;
+use std::sync::Arc;
 
 /// A data graph with its matching statistics prebuilt.
 pub struct DataGraph<'g> {

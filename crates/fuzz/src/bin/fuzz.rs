@@ -94,8 +94,7 @@ fn cmd_run(target_name: &str, iters: usize, seed: u64) -> ExitCode {
     let Some(targets) = selected_targets(target_name) else {
         eprintln!(
             "unknown target {target_name:?}; known: all, cfl-vs-vf2, flat-vs-nested, \
-             thread-checksum, canon-fingerprint, delta-identity, \
-             strategy-identity"
+             canon-fingerprint, delta-identity, strategy-identity"
         );
         return ExitCode::FAILURE;
     };

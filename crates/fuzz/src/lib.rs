@@ -7,8 +7,6 @@
 //!   (shares nothing with the CFL pipeline past the `Graph` type);
 //! * **flat-vs-nested** — the production flat-arena CPI freeze vs the
 //!   naive nested reference freeze (`cfl-match`'s `oracle` feature);
-//! * **thread-checksum** — CPI checksum and embedding-count identity
-//!   between 1-thread and N-thread CPI builds;
 //! * **canon-fingerprint** — canonical-fingerprint invariance under
 //!   vertex permutation and label renaming, plus plan-cache-hit vs
 //!   cold-run embedding identity;
@@ -78,8 +76,8 @@ pub fn corpus_seeds() -> Vec<(String, Vec<u8>)> {
     use cfl_datasets::adversarial::{challenge1, near_clique_pathology};
 
     let mut seeds: Vec<(String, Vec<u8>)> = Vec::new();
-    let mut push = |name: &str, q: &cfl_graph::Graph, g: &cfl_graph::Graph, threads: u8| {
-        if let Some(spec) = spec::CaseSpec::from_graphs(q, g, threads) {
+    let mut push = |name: &str, q: &cfl_graph::Graph, g: &cfl_graph::Graph, salt: u8| {
+        if let Some(spec) = spec::CaseSpec::from_graphs(q, g, salt) {
             seeds.push((format!("{name}.bin"), spec.encode()));
         }
     };
@@ -162,7 +160,7 @@ mod tests {
             let case = Case::decode(&bytes).expect("decode is total");
             assert!(case.q.num_vertices() >= 1);
             assert!(case.g.num_vertices() >= case.q.num_vertices());
-            assert!((2..=4).contains(&case.threads));
+            assert!((2..=4).contains(&case.salt));
         }
     }
 

@@ -1,5 +1,5 @@
 //! The fuzz input format: a direct byte encoding of a (query, data,
-//! threads) case.
+//! salt) case.
 //!
 //! Decoding is **total**: every byte string decodes to some valid case
 //! (values are reduced modulo their caps, exhausted buffers read as
@@ -43,8 +43,11 @@ pub struct CaseSpec {
     pub g_labels: Vec<u8>,
     /// Data edges (endpoints `< g_labels.len()`); loops/duplicates dropped.
     pub g_edges: Vec<(u8, u8)>,
-    /// CPI build thread count for the thread-differential target (`2..=4`).
-    pub threads: u8,
+    /// Seed salt (`2..=4`), mixed into the per-case seed of the randomized
+    /// targets. The trailing byte once chose a CPI build thread count; it
+    /// still decodes to the same value, so every checked-in input keeps
+    /// its case and its seed.
+    pub salt: u8,
 }
 
 impl<'a> Arbitrary<'a> for CaseSpec {
@@ -78,14 +81,14 @@ impl<'a> Arbitrary<'a> for CaseSpec {
             let b = u8::arbitrary(u)? % ng as u8;
             g_edges.push((a, b));
         }
-        let threads = 2 + u8::arbitrary(u)? % 3;
+        let salt = 2 + u8::arbitrary(u)? % 3;
         Ok(CaseSpec {
             q_labels,
             q_parents,
             q_extra,
             g_labels,
             g_edges,
-            threads,
+            salt,
         })
     }
 }
@@ -112,7 +115,7 @@ impl CaseSpec {
             out.push(a);
             out.push(b);
         }
-        out.push(self.threads - 2);
+        out.push(self.salt - 2);
         out
     }
 
@@ -121,14 +124,14 @@ impl CaseSpec {
     /// spanning tree fits the parent-pointer encoding; the relabeled query
     /// is isomorphic to the original, which is all the differential
     /// targets need.
-    pub fn from_graphs(q: &Graph, g: &Graph, threads: u8) -> Option<CaseSpec> {
+    pub fn from_graphs(q: &Graph, g: &Graph, salt: u8) -> Option<CaseSpec> {
         let nq = q.num_vertices();
         let ng = g.num_vertices();
         if nq == 0
             || nq > MAX_QUERY
             || ng < nq
             || ng > nq + MAX_DATA_EXTRA
-            || !(2..=4).contains(&threads)
+            || !(2..=4).contains(&salt)
         {
             return None;
         }
@@ -198,7 +201,7 @@ impl CaseSpec {
             q_extra,
             g_labels,
             g_edges,
-            threads,
+            salt,
         })
     }
 
@@ -231,7 +234,7 @@ impl CaseSpec {
         Some(Case {
             q,
             g,
-            threads: usize::from(self.threads),
+            salt: self.salt,
         })
     }
 }
@@ -240,8 +243,8 @@ impl CaseSpec {
 pub struct Case {
     pub q: Graph,
     pub g: Graph,
-    /// CPI build thread count for the thread-differential target.
-    pub threads: usize,
+    /// Seed salt (see [`CaseSpec::salt`]).
+    pub salt: u8,
 }
 
 impl Case {

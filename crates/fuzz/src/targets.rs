@@ -37,7 +37,6 @@ pub type Target = fn(&Case) -> Result<Verdict, String>;
 pub const TARGETS: &[(&str, Target)] = &[
     ("cfl-vs-vf2", cfl_vs_vf2),
     ("flat-vs-nested", flat_vs_nested),
-    ("thread-checksum", thread_checksum),
     ("canon-fingerprint", canon_fingerprint),
     ("delta-identity", delta_identity),
     ("strategy-identity", strategy_identity),
@@ -156,7 +155,7 @@ fn case_seed(case: &Case) -> u64 {
     }
     h = fnv_mix(h, case.g.num_vertices() as u64);
     h = fnv_mix(h, case.g.num_edges() as u64);
-    h = fnv_mix(h, case.threads as u64);
+    h = fnv_mix(h, u64::from(case.salt));
     h
 }
 
@@ -569,56 +568,36 @@ fn cache_hit_embeddings(
     ))
 }
 
-/// 1-thread vs N-thread identity: the CPI checksum must be byte-identical
-/// across build thread counts, and so must the (budgeted) embedding count
-/// enumerated over each build.
-pub fn thread_checksum(case: &Case) -> Result<Verdict, String> {
-    let budget = Budget::first(EMB_CAP);
-    let cfg1 = MatchConfig::exhaustive()
-        .with_budget(budget.clone())
-        .with_build_threads(1);
-    let cfg_n = MatchConfig::exhaustive()
-        .with_budget(budget)
-        .with_build_threads(case.threads);
+#[cfg(test)]
+mod tests {
+    use super::case_seed;
+    use crate::spec::Case;
+    use crate::{corpus_dir, read_inputs, regressions_dir};
 
-    let p1 = cfl_match::prepare(&case.q, &case.g, &cfg1);
-    let pn = cfl_match::prepare(&case.q, &case.g, &cfg_n);
-    match (p1, pn) {
-        (Err(a), Err(b)) => {
-            return if a == b {
-                Ok(Verdict::Checked)
-            } else {
-                Err(format!(
-                    "prepare rejects differently: serial={a:?} parallel={b:?}"
-                ))
-            };
+    /// Every checked-in input still decodes to the case, and so to the
+    /// seed, it was recorded with: the values are pinned, not re-derived.
+    #[test]
+    fn checked_in_inputs_keep_their_seeds() {
+        const CORPUS: [(&str, u64); 6] = [
+            ("adv-challenge1-2-4.bin", 0x71a1_c494_5b75_f09f),
+            ("adv-challenge1-3-2.bin", 0x71a1_c194_5b75_eb86),
+            ("adv-near-clique-nt.bin", 0x877f_d6a5_0b5b_73df),
+            ("adv-near-clique.bin", 0x16eb_68a4_cb99_5401),
+            ("tiny-single-vertex.bin", 0xe963_caae_b1af_62d1),
+            ("tiny-triangles.bin", 0xfdef_356d_cb96_3a13),
+        ];
+        const CANARY: u64 = 0x15d8_0dd2_131c_4aaf;
+        let seed_of = |bytes: &[u8]| case_seed(&Case::decode(bytes).expect("input decodes"));
+        let corpus = read_inputs(&corpus_dir());
+        assert_eq!(corpus.len(), CORPUS.len());
+        for ((path, bytes), (name, want)) in corpus.iter().zip(CORPUS) {
+            assert!(path.ends_with(name), "{path:?}");
+            assert_eq!(seed_of(bytes), want, "{path:?}");
         }
-        (Err(a), Ok(_)) => return Err(format!("only serial prepare rejects: {a:?}")),
-        (Ok(_), Err(b)) => return Err(format!("only parallel prepare rejects: {b:?}")),
-        (Ok(p1), Ok(pn)) => {
-            let (c1, cn) = (p1.cpi.checksum(), pn.cpi.checksum());
-            if c1 != cn {
-                return Err(format!(
-                    "CPI checksum diverges at {} build threads: \
-                     serial={c1:#018x} parallel={cn:#018x}",
-                    case.threads
-                ));
+        for (target, _) in super::TARGETS {
+            for (path, bytes) in read_inputs(&regressions_dir(target)) {
+                assert_eq!(seed_of(&bytes), CANARY, "{path:?}");
             }
         }
     }
-
-    let serial = cfl_match::count_embeddings(&case.q, &case.g, &cfg1)
-        .map_err(|e| format!("serial-build count failed after prepare succeeded: {e:?}"))?;
-    let parallel = cfl_match::count_embeddings(&case.q, &case.g, &cfg_n)
-        .map_err(|e| format!("parallel-build count failed after prepare succeeded: {e:?}"))?;
-    if !serial.outcome.is_complete() || !parallel.outcome.is_complete() {
-        return Ok(Verdict::Skipped("budget cap reached"));
-    }
-    if serial.embeddings != parallel.embeddings {
-        return Err(format!(
-            "embedding counts diverge at {} build threads: serial={} parallel={}",
-            case.threads, serial.embeddings, parallel.embeddings
-        ));
-    }
-    Ok(Verdict::Checked)
 }

@@ -72,10 +72,9 @@ pub enum BuildCounter {
     FreezeNs,
 }
 
-/// Shared sink for CPI-construction counters. Build tasks of one level run
-/// concurrently on the worker pool and record through a shared reference,
-/// so the cells are atomics; relaxed ordering suffices because the values
-/// are only read after the build joins.
+/// Shared sink for CPI-construction counters. Build steps record through
+/// a shared reference, so the cells are atomics; relaxed ordering
+/// suffices because the values are only read after the build returns.
 #[derive(Debug, Default)]
 pub struct BuildCounters {
     seeded: AtomicU64,
@@ -521,7 +520,7 @@ pub struct ServeTrace {
     /// Queries stopped by their `max_embeddings` budget.
     pub limit_reached: u64,
     /// Queries that errored before enumeration (invalid query graph,
-    /// unknown data graph).
+    /// unknown data graph) or panicked on their worker.
     pub failed: u64,
     /// Queries currently executing on a worker (gauge).
     pub active: u64,

@@ -1,8 +1,8 @@
-// Fixture: uses `Ordering::Relaxed` in a module with no loom model.
-// Must trip the `relaxed-ordering` rule except under the allowlisted
-// loom-modeled paths. Not compiled by cargo.
+// Fixture: uses `Ordering::Relaxed` outside any allowlisted file. Must
+// trip the `relaxed-ordering` rule unless its path is allowlisted. Not
+// compiled by cargo.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub fn bump(counter: &AtomicU64) -> u64 {
     counter.fetch_add(1, Ordering::Relaxed)

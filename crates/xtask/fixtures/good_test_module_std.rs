@@ -1,7 +1,6 @@
-// Fixture: a `#[cfg(test)]` module may use std primitives, raw `unsafe`,
-// and Relaxed freely — std-only unit tests are exempt from all three
-// rules so they can exercise the shimmed primitives from outside. Must
-// lint clean under any path. Not compiled by cargo.
+// Fixture: a `#[cfg(test)]` module may use `Ordering::Relaxed` freely —
+// unit tests are exempt from the rule. Must lint clean under any path.
+// Not compiled by cargo.
 
 pub fn production_code() -> u32 {
     7
@@ -15,8 +14,6 @@ mod tests {
     fn counts() {
         let c = AtomicU32::new(0);
         c.fetch_add(super::production_code(), Ordering::Relaxed);
-        std::thread::yield_now();
-        let v = [1u32];
-        assert_eq!(unsafe { *v.as_ptr() }, 1);
+        assert_eq!(c.load(Ordering::Relaxed), 7);
     }
 }

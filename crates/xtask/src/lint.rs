@@ -1,83 +1,54 @@
-//! The project lint pass: three text-level rules that hold the
-//! concurrency-soundness story of `cfl-match` together. They are
-//! deliberately structural (token scans over comment-/string-stripped
-//! source), not semantic — cheap enough to run on every CI push and
-//! impossible to silence with an inline attribute.
+//! The project lint pass: a text-level rule over the crates that hold
+//! shared state. It is deliberately structural (a token scan over
+//! comment-/string-stripped source), not semantic — cheap enough to run
+//! on every CI push and impossible to silence with an inline attribute.
 //!
-//! 1. **sync-shim** — no `std::sync` / `std::thread` outside the crate's
-//!    configured gateway module. Everything else must go through
-//!    `crate::sync`, which is what lets the loom models swap the
-//!    primitives under the exact code production runs. Only enforced for
-//!    crates that *have* a loom shim (`cfl-match`).
-//! 2. **unsafe-allowlist** — `unsafe` appears only in the crate's
-//!    allowlisted files, and every site (block, `impl`, or fn
-//!    definition) must have a `SAFETY` comment or a `# Safety` doc
-//!    section in the lines right above it.
-//! 3. **relaxed-ordering** — `Ordering::Relaxed` appears only in
-//!    allowlisted files, i.e. modules whose protocols are driven by a
-//!    loom model; anywhere else the default is the stronger ordering
-//!    until a model exists.
+//! **relaxed-ordering** — `Ordering::Relaxed` appears only in allowlisted
+//! files; anywhere else the default is a stronger ordering. Both crates'
+//! allowlists are empty, so any `Ordering::Relaxed` is a violation until
+//! a file is listed with a written argument for why Relaxed suffices.
+//! The allowlist must also stay exact: an entry whose file is missing,
+//! or has no Relaxed site, is itself a violation.
 //!
-//! Both allowlists must also stay exact: an entry whose file is missing,
-//! or has no site for that rule, is itself a violation of the rule.
+//! `unsafe` needs no rule here: `[workspace.lints.rust]` sets
+//! `unsafe_code = "forbid"`, which every crate inherits.
 //!
-//! The rules apply per crate (see [`CRATES`]): `cfl-match` carries all
-//! three; `cfl-graph` has no loom shim (no sync-shim rule) and *empty*
-//! unsafe and Relaxed allowlists, so any `unsafe` or `Ordering::Relaxed`
-//! there is a violation.
-//!
-//! `#[cfg(test)]` modules are exempt from all three rules: std-only unit
-//! tests intentionally use `std::thread`/`std::sync` directly so they
-//! stay meaningful when the shimmed primitives are themselves under test.
+//! `#[cfg(test)]` modules are exempt, so unit tests may use any ordering.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Number of rules, for the "clean" summary line.
-pub const RULE_COUNT: usize = 3;
+pub const RULE_COUNT: usize = 1;
+
+/// The rule's name, as violations print it.
+const RULE: &str = "relaxed-ordering";
 
 /// Per-crate lint configuration: which crate directory to walk and which
-/// allowlists gate each rule inside it.
+/// files may use `Ordering::Relaxed` inside it.
 pub struct CrateRules {
     /// Crate directory relative to the workspace root.
     pub dir: &'static str,
-    /// The one file allowed to name `std::sync`/`std::thread` (the
-    /// cfg-switched loom gateway). `None` disables the sync-shim rule —
-    /// the crate has no shim, so there is nothing to route through.
-    pub sync_shim: Option<&'static str>,
-    /// Files (relative to the crate root) allowed to contain `unsafe`.
-    /// Adding a file here is a review event: the new site needs a written
-    /// SAFETY invariant and, if it involves a concurrent protocol, a loom
-    /// model.
-    pub unsafe_allowlist: &'static [&'static str],
-    /// Loom-modeled modules allowed to use `Ordering::Relaxed`. Each file
-    /// documents, at the use site, why Relaxed suffices and which model
-    /// exercises the claim.
+    /// Files (relative to the crate root) allowed to use
+    /// `Ordering::Relaxed`. Each documents, at the use site, why Relaxed
+    /// suffices.
     pub relaxed_allowlist: &'static [&'static str],
 }
 
-/// `cfl-match`: the concurrency-bearing crate — all three rules.
+/// `cfl-match`: the serving engine, the plan cache and the scratch pool.
 const CORE_RULES: CrateRules = CrateRules {
     dir: "crates/core",
-    sync_shim: Some("src/sync.rs"),
-    unsafe_allowlist: &["src/pool.rs"],
-    relaxed_allowlist: &["src/pool.rs", "src/models.rs"],
+    relaxed_allowlist: &[],
 };
 
-/// `cfl-graph`: safe code only — no `unsafe`, no loom shim, and no
-/// Relaxed anywhere.
+/// `cfl-graph`: no Relaxed anywhere.
 const GRAPH_RULES: CrateRules = CrateRules {
     dir: "crates/graph",
-    sync_shim: None,
-    unsafe_allowlist: &[],
     relaxed_allowlist: &[],
 };
 
 /// Every crate the lint pass walks.
 pub const CRATES: &[&CrateRules] = &[&CORE_RULES, &GRAPH_RULES];
-
-/// How many lines above an `unsafe` site may hold its SAFETY comment.
-const SAFETY_WINDOW: usize = 12;
 
 /// One rule violation, displayed as `path:line: [rule] message`.
 #[derive(Debug)]
@@ -101,7 +72,7 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Runs every rule over every configured crate (see [`CRATES`]). Returns
+/// Runs the rule over every configured crate (see [`CRATES`]). Returns
 /// all violations; I/O trouble (missing tree) is an error, not a
 /// violation.
 pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
@@ -132,44 +103,34 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
 }
 
 /// Flags allowlist entries that no longer earn their place: the file is
-/// gone, or it has no site for that rule outside `#[cfg(test)]` modules.
-/// A stale entry would silently pre-approve the next `unsafe` or
-/// `Ordering::Relaxed` someone adds to that file, so both the unsafe and
-/// the Relaxed allowlists must list exactly the files that need them.
-/// `files` holds every `(path relative to the crate root, source)` pair of
-/// the crate.
+/// gone, or it has no Relaxed site outside `#[cfg(test)]` modules. A
+/// stale entry would silently pre-approve the next `Ordering::Relaxed`
+/// someone adds to that file, so the allowlist must list exactly the
+/// files that need it. `files` holds every `(path relative to the crate
+/// root, source)` pair of the crate.
 pub fn stale_allowlist_entries(
     files: &[(String, String)],
     rules: &CrateRules,
     out: &mut Vec<Violation>,
 ) {
-    let has_site = |rule: &str, source: &str| {
+    let has_site = |source: &str| {
         let code = strip_test_modules(&strip_comments_and_strings(source));
-        if rule == "unsafe-allowlist" {
-            !find_unsafe_sites(&code).is_empty()
-        } else {
-            !find_tokens(&code, &["Ordering::Relaxed"]).is_empty()
-        }
+        !relaxed_lines(&code).is_empty()
     };
-    for (rule, allowlist) in [
-        ("unsafe-allowlist", rules.unsafe_allowlist),
-        ("relaxed-ordering", rules.relaxed_allowlist),
-    ] {
-        for &entry in allowlist {
-            let message = match files.iter().find(|(rel, _)| rel == entry) {
-                None => "allowlisted file does not exist; drop the entry",
-                Some((_, source)) if !has_site(rule, source) => {
-                    "allowlisted file has no site for this rule; drop the entry"
-                }
-                Some(_) => continue,
-            };
-            out.push(Violation {
-                file: Path::new(rules.dir).join(entry),
-                line: 1,
-                rule,
-                message: message.to_owned(),
-            });
-        }
+    for &entry in rules.relaxed_allowlist {
+        let message = match files.iter().find(|(rel, _)| rel == entry) {
+            None => "allowlisted file does not exist; drop the entry",
+            Some((_, source)) if !has_site(source) => {
+                "allowlisted file has no site for this rule; drop the entry"
+            }
+            Some(_) => continue,
+        };
+        out.push(Violation {
+            file: Path::new(rules.dir).join(entry),
+            line: 1,
+            rule: RULE,
+            message: message.to_owned(),
+        });
     }
 }
 
@@ -187,9 +148,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies the three rules to one file under `rules`' crate. `rel` is the
-/// path relative to the crate root (forward slashes), used against the
-/// allowlists; `display` is what violations print.
+/// Applies the rule to one file under `rules`' crate. `rel` is the path
+/// relative to the crate root (forward slashes), used against the
+/// allowlist; `display` is what violations print.
 pub fn lint_file(
     rel: &str,
     source: &str,
@@ -197,69 +158,25 @@ pub fn lint_file(
     rules: &CrateRules,
     out: &mut Vec<Violation>,
 ) {
+    if rules.relaxed_allowlist.contains(&rel) {
+        return;
+    }
     // Comments and string literals can legally mention anything; blank
     // them first (newlines preserved, so line numbers survive). Then
-    // blank `#[cfg(test)]` modules — the exemption shared by all rules.
+    // blank `#[cfg(test)]` modules, which are exempt.
     let code = strip_test_modules(&strip_comments_and_strings(source));
-    let original_lines: Vec<&str> = source.lines().collect();
-
-    if let Some(shim) = rules.sync_shim {
-        if rel != shim {
-            for (line, token) in find_tokens(&code, &["std::sync", "std::thread"]) {
-                out.push(Violation {
-                    file: display.to_path_buf(),
-                    line,
-                    rule: "sync-shim",
-                    message: format!(
-                        "`{token}` outside the `crate::sync` gateway ({shim}); \
-                         import the primitive through `crate::sync` so loom models \
-                         cover this code"
-                    ),
-                });
-            }
-        }
-    }
-
-    for (line, kind) in find_unsafe_sites(&code) {
-        if !rules.unsafe_allowlist.contains(&rel) {
-            out.push(Violation {
-                file: display.to_path_buf(),
-                line,
-                rule: "unsafe-allowlist",
-                message: format!(
-                    "`unsafe` ({kind}) in a file not on the allowlist \
-                     {:?}; new unsafe needs a written SAFETY \
-                     invariant and an allowlist entry",
-                    rules.unsafe_allowlist
-                ),
-            });
-        } else if !has_safety_comment(&original_lines, line) {
-            out.push(Violation {
-                file: display.to_path_buf(),
-                line,
-                rule: "unsafe-allowlist",
-                message: format!(
-                    "`unsafe` ({kind}) without a SAFETY comment or `# Safety` \
-                     doc section in the {SAFETY_WINDOW} lines above it"
-                ),
-            });
-        }
-    }
-
-    if !rules.relaxed_allowlist.contains(&rel) {
-        for (line, _) in find_tokens(&code, &["Ordering::Relaxed"]) {
-            out.push(Violation {
-                file: display.to_path_buf(),
-                line,
-                rule: "relaxed-ordering",
-                message: format!(
-                    "`Ordering::Relaxed` outside the loom-modeled modules \
-                     {:?}; use a stronger ordering or add a \
-                     model that exercises the protocol",
-                    rules.relaxed_allowlist
-                ),
-            });
-        }
+    for line in relaxed_lines(&code) {
+        out.push(Violation {
+            file: display.to_path_buf(),
+            line,
+            rule: RULE,
+            message: format!(
+                "`Ordering::Relaxed` outside the allowlist {:?}; use a \
+                 stronger ordering, or list the file with a written \
+                 argument for why Relaxed suffices",
+                rules.relaxed_allowlist
+            ),
+        });
     }
 }
 
@@ -474,65 +391,13 @@ fn matching(bytes: &[u8], at: usize, open: u8, close: u8) -> Option<usize> {
     None
 }
 
-/// Finds occurrences of any token in stripped code; returns 1-based lines.
-fn find_tokens<'t>(code: &str, tokens: &[&'t str]) -> Vec<(usize, &'t str)> {
-    let mut hits = Vec::new();
-    for (idx, line) in code.lines().enumerate() {
-        for &token in tokens {
-            if line.contains(token) {
-                hits.push((idx + 1, token));
-            }
-        }
-    }
-    hits
-}
-
-/// Finds `unsafe` *sites* in stripped code: blocks (`unsafe {`),
-/// `unsafe impl`, and unsafe fn definitions (`unsafe fn name`). Bare
-/// `unsafe fn(...)` function-pointer *types* are not sites. Returns
-/// 1-based lines with a site-kind label.
-fn find_unsafe_sites(code: &str) -> Vec<(usize, &'static str)> {
-    let mut sites = Vec::new();
-    for (idx, line) in code.lines().enumerate() {
-        let mut rest = line;
-        let mut col = 0usize;
-        while let Some(p) = rest.find("unsafe") {
-            let abs = col + p;
-            let before_ok = abs == 0
-                || (!line.as_bytes()[abs - 1].is_ascii_alphanumeric()
-                    && line.as_bytes()[abs - 1] != b'_');
-            let after = line[abs + "unsafe".len()..].trim_start();
-            if before_ok {
-                let kind = if after.starts_with('{') || after.is_empty() {
-                    // `unsafe {` (brace possibly on the next line).
-                    Some("block")
-                } else if after.starts_with("impl") {
-                    Some("impl")
-                } else if let Some(past_fn) = after.strip_prefix("fn") {
-                    // `unsafe fn(` is a pointer type, not a definition.
-                    (!past_fn.trim_start().starts_with('(')).then_some("fn definition")
-                } else {
-                    None
-                };
-                if let Some(kind) = kind {
-                    sites.push((idx + 1, kind));
-                }
-            }
-            col = abs + "unsafe".len();
-            rest = &line[col..];
-        }
-    }
-    sites
-}
-
-/// True if any of the `SAFETY_WINDOW` original lines above `line`
-/// (1-based) carries a `SAFETY` comment or a `# Safety` doc heading.
-fn has_safety_comment(original_lines: &[&str], line: usize) -> bool {
-    let end = line - 1; // index of the site line itself
-    let start = end.saturating_sub(SAFETY_WINDOW);
-    original_lines[start..end]
-        .iter()
-        .any(|l| l.contains("SAFETY") || l.contains("# Safety"))
+/// The 1-based lines of stripped code that name `Ordering::Relaxed`.
+fn relaxed_lines(code: &str) -> Vec<usize> {
+    code.lines()
+        .enumerate()
+        .filter(|(_, line)| line.contains("Ordering::Relaxed"))
+        .map(|(idx, _)| idx + 1)
+        .collect()
 }
 
 #[cfg(test)]
@@ -579,67 +444,36 @@ mod tests {
     }
 
     #[test]
-    fn fixture_std_sync_outside_shim_fails() {
-        let v = lint_str("src/filters.rs", &fixture("bad_std_sync.rs"));
-        assert!(
-            v.iter().any(|v| v.rule == "sync-shim"),
-            "expected a sync-shim violation, got {v:?}"
-        );
-        // The same text IS allowed in the gateway file.
-        let v = lint_str("src/sync.rs", &fixture("bad_std_sync.rs"));
-        assert!(v.iter().all(|v| v.rule != "sync-shim"));
-    }
-
-    #[test]
-    fn fixture_unsafe_outside_allowlist_fails() {
-        let v = lint_str("src/cpi/flat.rs", &fixture("bad_unsafe_new_file.rs"));
-        assert!(
-            v.iter()
-                .any(|v| v.rule == "unsafe-allowlist" && v.message.contains("not on the allowlist")),
-            "expected an allowlist violation, got {v:?}"
-        );
-    }
-
-    #[test]
-    fn fixture_unsafe_without_safety_comment_fails() {
-        let v = lint_str("src/pool.rs", &fixture("bad_unsafe_no_safety.rs"));
-        assert!(
-            v.iter()
-                .any(|v| v.rule == "unsafe-allowlist" && v.message.contains("SAFETY")),
-            "expected a missing-SAFETY violation, got {v:?}"
-        );
-    }
-
-    #[test]
     fn fixture_relaxed_outside_models_fails() {
         let v = lint_str("src/cpi/mod.rs", &fixture("bad_relaxed.rs"));
         assert!(
-            v.iter().any(|v| v.rule == "relaxed-ordering"),
+            v.iter().any(|v| v.rule == RULE),
             "expected a relaxed-ordering violation, got {v:?}"
         );
-        // Allowed in a loom-modeled module.
-        let v = lint_str("src/pool.rs", &fixture("bad_relaxed.rs"));
-        assert!(v.iter().all(|v| v.rule != "relaxed-ordering"));
+        // Allowed in an allowlisted file.
+        const RULES: CrateRules = CrateRules {
+            dir: "crates/core",
+            relaxed_allowlist: &["src/cache.rs"],
+        };
+        let v = lint_str_with("src/cache.rs", &fixture("bad_relaxed.rs"), &RULES);
+        assert!(v.is_empty(), "allowlisted file tripped the rule: {v:?}");
     }
 
     #[test]
     fn fixture_stale_allowlist_entries_fail() {
-        // `enumerate.rs` is on both lists but its only `unsafe` and Relaxed
-        // sit in a test module; `parallel.rs` is listed but gone. The two
-        // entries that still cover a real site pass.
+        // `enumerate.rs` is listed but its only Relaxed sits in a test
+        // module; `parallel.rs` is listed but gone. The entry that still
+        // covers a real site passes.
         const RULES: CrateRules = CrateRules {
             dir: "crates/core",
-            sync_shim: Some("src/sync.rs"),
-            unsafe_allowlist: &["src/pool.rs", "src/exec/enumerate.rs"],
             relaxed_allowlist: &[
-                "src/models.rs",
+                "src/cache.rs",
                 "src/exec/enumerate.rs",
                 "src/exec/parallel.rs",
             ],
         };
         let files = [
-            ("src/pool.rs", fixture("bad_unsafe_no_safety.rs")),
-            ("src/models.rs", fixture("bad_relaxed.rs")),
+            ("src/cache.rs", fixture("bad_relaxed.rs")),
             ("src/exec/enumerate.rs", fixture("good_test_module_std.rs")),
         ]
         .map(|(rel, source)| (rel.to_owned(), source));
@@ -654,7 +488,6 @@ mod tests {
             got,
             [
                 "crates/core/src/exec/enumerate.rs [relaxed-ordering]",
-                "crates/core/src/exec/enumerate.rs [unsafe-allowlist]",
                 "crates/core/src/exec/parallel.rs [relaxed-ordering]",
             ],
             "{v:?}"
@@ -665,24 +498,43 @@ mod tests {
     }
 
     #[test]
-    fn graph_rules_gate_unsafe_and_relaxed() {
-        // No graph file may hold unsafe, not even with a Safety section.
-        let commented = "/// # Safety\n/// Caller checked the bounds.\nunsafe fn k() {}\n";
-        for file in ["src/bitset.rs", "src/intersect.rs"] {
-            let v = lint_str_with(file, commented, &GRAPH_RULES);
-            assert!(
-                v.iter().any(|v| v.rule == "unsafe-allowlist"),
-                "expected an allowlist violation in {file}, got {v:?}"
-            );
-        }
-        // No graph file is loom-modeled, so Relaxed is banned everywhere.
+    fn graph_rules_gate_relaxed() {
         let v = lint_str_with("src/intersect.rs", &fixture("bad_relaxed.rs"), &GRAPH_RULES);
         assert!(
-            v.iter().any(|v| v.rule == "relaxed-ordering"),
+            v.iter().any(|v| v.rule == RULE),
             "expected a relaxed-ordering violation, got {v:?}"
         );
-        // ... and without a shim, `std::sync` is fine.
-        assert!(v.iter().all(|v| v.rule != "sync-shim"));
+    }
+
+    #[test]
+    fn every_crate_inherits_the_unsafe_forbid() {
+        // The forbid lives in the workspace manifest; a crate that drops
+        // `[lints] workspace = true` would silently allow `unsafe` again.
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .unwrap()
+            .to_path_buf();
+        let workspace = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        assert!(workspace.contains("unsafe_code = \"forbid\""));
+        let mut manifests = Vec::new();
+        for dir in ["crates", "shims"] {
+            for entry in std::fs::read_dir(root.join(dir)).unwrap().flatten() {
+                let manifest = entry.path().join("Cargo.toml");
+                if manifest.is_file() {
+                    manifests.push(manifest);
+                }
+            }
+        }
+        assert!(manifests.len() >= 10, "found only {manifests:?}");
+        for manifest in manifests {
+            let text = std::fs::read_to_string(&manifest).unwrap();
+            assert!(
+                text.contains("[lints]\nworkspace = true"),
+                "{} does not inherit the workspace lints",
+                manifest.display()
+            );
+        }
     }
 
     #[test]
@@ -702,13 +554,5 @@ fn f() -> &'static str {
 "#;
         let v = lint_str("src/cpi/mod.rs", src);
         assert!(v.is_empty(), "docs/strings tripped rules: {v:?}");
-    }
-
-    #[test]
-    fn unsafe_fn_pointer_type_is_not_a_site() {
-        let src = "struct S { f: unsafe fn(*const ()) }\n";
-        assert!(find_unsafe_sites(&strip_comments_and_strings(src)).is_empty());
-        let src = "unsafe fn g() {}\n";
-        assert_eq!(find_unsafe_sites(src), vec![(1, "fn definition")]);
     }
 }

@@ -4,9 +4,9 @@
 //! cargo lint            # alias for: cargo run -p xtask -- lint
 //! ```
 //!
-//! which runs the project-specific concurrency lints over `cfl-match`
-//! (see [`lint`] for the three rules and their allowlists). Exits
-//! non-zero when any violation is found; CI runs it as a blocking job.
+//! which runs the project-specific lint over `cfl-match` and `cfl-graph`
+//! (see [`lint`] for the rule and its allowlists). Exits non-zero when
+//! any violation is found; CI runs it as a blocking job.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

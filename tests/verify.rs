@@ -196,18 +196,6 @@ fn swapped_row_entries_are_reported_out_of_order() {
     assert_eq!(v.query_vertex, Some(u));
 }
 
-/// Acceptance gate for parallel construction: a CPI built with several
-/// worker threads must pass every checker, exactly like the serial build
-/// (CI runs this via `cargo test` and via `cfl verify --build-threads 4`).
-#[test]
-fn parallel_built_cpi_verifies_clean() {
-    let (q, g) = small_pair();
-    for threads in [2, 4] {
-        let config = MatchConfig::default().with_build_threads(threads);
-        prepared_clean(&q, &g, &config);
-    }
-}
-
 /// One random (data, query) pair from the generators in
 /// `crates/graph/src/gen`, parameterized by seed / query size / density.
 fn random_pair(seed: u64, size: usize, dense: bool) -> Option<(Graph, Graph)> {
