@@ -78,7 +78,10 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], valued: &[&str]) -> Flags {
+    /// Splits `args` into positionals, `valued` flags with their values and
+    /// `switches`. Any other flag is a usage error (exit 2), so a mistyped
+    /// or retired flag fails loudly instead of being ignored.
+    fn parse(args: &[String], valued: &[&str], switches: &[&str]) -> Flags {
         let mut f = Flags {
             positional: Vec::new(),
             pairs: Vec::new(),
@@ -95,8 +98,11 @@ impl Flags {
                         exit(2);
                     };
                     f.pairs.push((name.to_string(), v.clone()));
-                } else {
+                } else if switches.contains(&name) {
                     f.switches.push(name.to_string());
+                } else {
+                    eprintln!("unknown flag {a}");
+                    exit(2);
                 }
             } else {
                 f.positional.push(a.clone());
@@ -140,6 +146,7 @@ fn cmd_generate(args: &[String]) {
     let f = Flags::parse(
         args,
         &["vertices", "degree", "labels", "seed", "o", "output"],
+        &[],
     );
     let cfg = SyntheticConfig {
         num_vertices: f.get_parse("vertices", 10_000usize),
@@ -161,7 +168,7 @@ fn cmd_generate(args: &[String]) {
 }
 
 fn cmd_dataset(args: &[String]) {
-    let f = Flags::parse(args, &["scale", "o", "output"]);
+    let f = Flags::parse(args, &["scale", "o", "output"], &[]);
     let Some(name) = f.positional.first() else {
         eprintln!("dataset name required");
         exit(2);
@@ -191,7 +198,11 @@ fn cmd_dataset(args: &[String]) {
 }
 
 fn cmd_query(args: &[String]) {
-    let f = Flags::parse(args, &["size", "density", "count", "seed", "o", "output"]);
+    let f = Flags::parse(
+        args,
+        &["size", "density", "count", "seed", "o", "output"],
+        &[],
+    );
     let Some(path) = f.positional.first() else {
         eprintln!("data graph path required");
         exit(2);
@@ -266,6 +277,15 @@ fn cmd_match(args: &[String]) {
             "repeat",
             "order",
             "pruning",
+        ],
+        &[
+            "plan-cache",
+            "label-pair",
+            "print",
+            "count-only",
+            "checksum",
+            "stats",
+            "stats-json",
         ],
     );
     if f.positional.len() != 2 {
@@ -478,6 +498,7 @@ fn cmd_serve(args: &[String]) {
             "default-limit",
             "default-deadline-ms",
         ],
+        &["plan-cache"],
     );
     let Some(path) = f.positional.first() else {
         eprintln!("usage: cfl serve <data.graph> [--listen HOST:PORT] [flags]");
@@ -514,7 +535,7 @@ fn cmd_serve(args: &[String]) {
 }
 
 fn cmd_stats(args: &[String]) {
-    let f = Flags::parse(args, &["top"]);
+    let f = Flags::parse(args, &["top"], &[]);
     let Some(path) = f.positional.first() else {
         eprintln!("graph path required");
         exit(2);
@@ -540,7 +561,7 @@ fn cmd_stats(args: &[String]) {
 }
 
 fn cmd_workload(args: &[String]) {
-    let f = Flags::parse(args, &["scale", "queries", "o", "output"]);
+    let f = Flags::parse(args, &["scale", "queries", "o", "output"], &[]);
     let Some(name) = f.positional.first() else {
         eprintln!("dataset name required");
         exit(2);
@@ -615,6 +636,7 @@ fn cmd_verify(args: &[String]) {
     let f = Flags::parse(
         args,
         &["scale", "labels", "size", "seed", "density", "variant"],
+        &[],
     );
     let (q, g) = match f.positional.len() {
         2 => (

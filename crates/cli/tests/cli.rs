@@ -142,3 +142,76 @@ fn workload_command_writes_sets() {
     assert!(set_dir.join("manifest.txt").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A small data graph and one query extracted from it.
+fn small_inputs(dir: &std::path::Path) -> (PathBuf, PathBuf) {
+    let data = dir.join("data.graph");
+    let out = cfl()
+        .args(["generate", "--vertices", "200", "--labels", "4", "-o"])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = cfl()
+        .args(["query"])
+        .arg(&data)
+        .args(["--size", "4", "-o"])
+        .arg(dir.join("q"))
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    (dir.join("q-0.graph"), data)
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = tmpdir("unknown-flags");
+    let (q, data) = small_inputs(&dir);
+    for bad in ["--bogus", "--build-threads=4"] {
+        let out = cfl()
+            .arg("match")
+            .arg(&q)
+            .arg(&data)
+            .args(["--count-only", bad])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{bad} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(bad), "stderr does not name {bad}: {stderr}");
+    }
+    let out = cfl()
+        .arg("match")
+        .arg(&q)
+        .arg(&data)
+        .arg("--count-only")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "the known switch alone must pass");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The exact command line the benchmark package starts its server with.
+#[test]
+fn serve_accepts_the_benchmark_command_line() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let dir = tmpdir("serve-flags");
+    let (_, data) = small_inputs(&dir);
+    let mut child = cfl()
+        .arg("serve")
+        .arg(&data)
+        .args(["--listen", "127.0.0.1:0", "--workers", "2", "--plan-cache"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    child.kill().ok();
+    child.wait().ok();
+    assert!(line.starts_with("listening on "), "banner: {line:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}

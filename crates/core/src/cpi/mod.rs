@@ -28,7 +28,8 @@
 //! `row_offsets[row_starts[u] .. row_starts[u+1]]` and has `|p.C| + 1`
 //! entries; consecutive entries delimit `row_data` slices holding
 //! `N_u^{u.p}(v)` for each parent candidate `v` in order. The root's block
-//! is empty. All four arenas are built once in `CpiBuilder::freeze`.
+//! is empty. All five arrays are built once in `CpiBuilder::freeze`, each
+//! with a single allocation and no spare capacity.
 //!
 //! # Ordering invariants
 //!
@@ -235,8 +236,9 @@ impl Cpi {
         h
     }
 
-    /// Estimated heap footprint in bytes (the index-size metric of
-    /// Figure 16(d)).
+    /// Heap footprint in bytes (the index-size metric of Figure 16(d)):
+    /// the bytes the five arenas hold. `freeze` leaves no spare capacity
+    /// in any arena, so their lengths are their allocations.
     pub fn memory_bytes(&self) -> u64 {
         ((self.cand_data.len() * std::mem::size_of::<VertexId>())
             + (self.cand_offsets.len() + self.row_data.len() + self.row_offsets.len())
@@ -501,10 +503,18 @@ impl CpiBuilder {
     /// ids to final positions through a pooled `|V(G)|`-sized lookup,
     /// dropping entries that point at dead candidates, and appended to the
     /// row arena with absolute offsets.
+    ///
+    /// Each arena is allocated once, never grown by doubling: the offset
+    /// arenas are sized exactly, and the two data arenas are reserved at
+    /// their upper bounds (every built candidate, every built row entry)
+    /// and shrunk to fit once filled. A plan cache keeps many CPIs alive,
+    /// and doubling slack plus the freed smaller buffers left the
+    /// allocator holding far more than the arenas themselves.
     pub(crate) fn freeze(self, q: &Graph, g: &Graph) -> Cpi {
         let n = q.num_vertices();
         let mut cand_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut cand_data: Vec<VertexId> = Vec::new();
+        let mut cand_data: Vec<VertexId> =
+            Vec::with_capacity(self.candidates.iter().map(Vec::len).sum());
         cand_offsets.push(0);
         for u in 0..n {
             let lo = cand_data.len();
@@ -517,12 +527,20 @@ impl CpiBuilder {
             cand_data[lo..].sort_unstable();
             cand_offsets.push(cand_data.len() as u32);
         }
+        cand_data.shrink_to_fit();
         let final_cands =
             |u: usize| &cand_data[cand_offsets[u] as usize..cand_offsets[u + 1] as usize];
 
+        // A non-root vertex's offset block has one entry per final parent
+        // candidate plus a leading one.
+        let offsets_len: usize = (0..n as VertexId)
+            .filter_map(|u| self.tree.parent(u))
+            .map(|p| final_cands(p as usize).len() + 1)
+            .sum();
         let mut row_starts: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut row_offsets: Vec<u32> = Vec::new();
-        let mut row_data: Vec<u32> = Vec::new();
+        let mut row_offsets: Vec<u32> = Vec::with_capacity(offsets_len);
+        let mut row_data: Vec<u32> =
+            Vec::with_capacity(self.rows.iter().map(|r| r.data.len()).sum());
         row_starts.push(0);
         with_scratch(g.num_vertices(), |scr| {
             for ui in 0..n {
@@ -567,6 +585,8 @@ impl CpiBuilder {
                 row_starts.push(row_offsets.len() as u32);
             }
         });
+        debug_assert_eq!(row_offsets.len(), offsets_len);
+        row_data.shrink_to_fit();
 
         Cpi {
             tree: self.tree,
@@ -766,6 +786,51 @@ mod tests {
         let (cands, edges) = cpi.arena_totals();
         assert_eq!(cands, cpi.total_candidates());
         assert_eq!(edges, cpi.total_edges());
+    }
+
+    /// The golden-value workload's queries (2,000-vertex synthetic graph,
+    /// dense and sparse sets), built from the engine's root in every mode:
+    /// no arena keeps spare capacity, so `memory_bytes` is exactly the heap
+    /// the index holds.
+    #[test]
+    fn arenas_hold_no_slack() {
+        let g = cfl_graph::synthetic_graph(&cfl_graph::SyntheticConfig {
+            num_vertices: 2_000,
+            avg_degree: 8.0,
+            num_labels: 12,
+            label_exponent: 1.0,
+            twin_fraction: 0.1,
+            seed: 4242,
+        });
+        let dense = cfl_graph::query_set(&g, 10, cfl_graph::QueryDensity::NonSparse, 2, 7);
+        let sparse = cfl_graph::query_set(&g, 12, cfl_graph::QueryDensity::Sparse, 2, 11);
+        assert_eq!(dense.len() + sparse.len(), 4);
+        let gs = GraphStats::build(&g);
+        for q in dense.iter().chain(&sparse) {
+            let qs = GraphStats::build(q);
+            let ctx = FilterContext::new(q, &g, &qs, &gs);
+            let core = cfl_graph::two_core(q);
+            let has_core = core.contains(&true);
+            let eligible: Vec<VertexId> = (0..q.num_vertices() as VertexId)
+                .filter(|&v| !has_core || core[v as usize])
+                .collect();
+            let (root, root_cands) = crate::root::select_root_with_candidates(&ctx, &eligible);
+            for mode in [CpiMode::Naive, CpiMode::TopDown, CpiMode::TopDownRefined] {
+                let cpi = Cpi::build_seeded(&ctx, root, root_cands.clone(), mode, 1);
+                let arenas = [
+                    (cpi.cand_data.len(), cpi.cand_data.capacity()),
+                    (cpi.cand_offsets.len(), cpi.cand_offsets.capacity()),
+                    (cpi.row_data.len(), cpi.row_data.capacity()),
+                    (cpi.row_offsets.len(), cpi.row_offsets.capacity()),
+                    (cpi.row_starts.len(), cpi.row_starts.capacity()),
+                ];
+                for (i, (len, cap)) in arenas.into_iter().enumerate() {
+                    assert_eq!(cap, len, "arena {i} keeps slack ({mode:?})");
+                }
+                let held: usize = arenas.iter().map(|&(_, cap)| cap * 4).sum();
+                assert_eq!(cpi.memory_bytes(), held as u64);
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub mod result;
 pub mod root;
 pub mod serve;
 pub mod session;
-#[cfg(feature = "validate")]
 pub mod validate;
 
 pub use cache::{PlanCache, PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY};
@@ -81,5 +80,4 @@ pub use serve::{Engine, EngineConfig, QueryEvent, QueryHandle, QuerySpec, Server
 pub use cfl_trace::{BuildTrace, CpiMetrics, TraceReport, WorkerTrace};
 pub use root::{select_root, select_root_with_candidates};
 pub use session::DataGraph;
-#[cfg(feature = "validate")]
 pub use validate::verify_prepared;

@@ -6,6 +6,9 @@
 //! big-endian payload length followed by that many bytes of UTF-8 JSON.
 //! Frames larger than [`MAX_FRAME`] are rejected, so a corrupt or hostile
 //! length prefix cannot make the server allocate unboundedly.
+//! [`write_frame`] sends header and payload in one write, and the server
+//! sets `TCP_NODELAY` on every accepted stream, so no frame waits for the
+//! peer's delayed ACK.
 //!
 //! # Requests
 //!
@@ -48,7 +51,10 @@ use crate::config::{MatchConfig, OrderStrategy, PruningKind};
 /// Maximum frame payload accepted or produced (16 MiB).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) with a single `write_all`
+/// and flushes. Header and payload go out together: written separately
+/// to a socket, the payload would wait behind the unacknowledged header
+/// for the peer's delayed ACK (Nagle's algorithm, about 40 ms on Linux).
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
@@ -57,9 +63,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    let len = bytes.len() as u32;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -373,6 +380,43 @@ mod tests {
         );
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("second"));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean eof");
+    }
+
+    /// A `Write` that counts `write` calls and accepts every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        for (i, payload) in ["", "{\"op\": \"stats\"}", &"x".repeat(70_000)]
+            .into_iter()
+            .enumerate()
+        {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, i + 1, "frame {i} took more than one write");
+        }
+        let mut r = io::Cursor::new(w.bytes);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some("{\"op\": \"stats\"}")
+        );
+        assert_eq!(read_frame(&mut r).unwrap().map(|s| s.len()), Some(70_000));
     }
 
     #[test]

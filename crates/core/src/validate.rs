@@ -1,12 +1,13 @@
-//! Bridge to the `cfl-verify` invariant checkers (`validate` feature).
+//! Bridge to the `cfl-verify` invariant checkers.
 //!
-//! Compiled only when the `validate` cargo feature is enabled, so default
-//! builds pay zero overhead — no checker call sites even exist. With the
-//! feature on, [`prepare`](crate::prepare) re-derives every invariant of
-//! the structures it just built — the graph representation, the CFL
-//! decomposition (§3), the CPI (§4.1, Algorithms 3–4) and the matching
-//! order (§4.2.1, Algorithm 2) — and panics with vertex-level diagnostics
-//! if any is violated.
+//! [`verify_prepared`] re-derives every invariant of a prepared query —
+//! the graph representation, the CFL decomposition (§3), the CPI (§4.1,
+//! Algorithms 3–4) and the matching order (§4.2.1, Algorithm 2) — and
+//! reports violations with vertex-level diagnostics. It is always
+//! compiled, so `cfl verify` reaches it in every build. Only the `validate`
+//! cargo feature makes [`prepare`](crate::prepare) call it (through
+//! [`assert_valid`]) on every query; without the feature no checker call
+//! site exists on the query path.
 
 use cfl_graph::{BfsTree, Graph, VertexId};
 use cfl_verify::{
