@@ -19,10 +19,23 @@
 //! epoch, so stale plans miss naturally; budget and thread-count knobs are
 //! excluded from the signature because they don't affect preparation).
 //!
-//! Eviction is LRU with a bounded entry count. Counters (lookups, hits,
-//! misses, evictions, refreshes) are always-on atomics surfaced through
-//! [`PlanCache::snapshot`]; lookups = hits + misses is an accounting
-//! identity `cfl-verify` checks.
+//! The cache holds a bounded number of entries in recency order. A new
+//! plan takes the coldest entry's slot, except under thrashing: a plan
+//! that was evicted (or refused) and is asked for again must have been
+//! requested more often than the coldest entry, or it is refused and its
+//! query runs on its own fresh plan (`Admission`, after TinyLFU —
+//! Einziger, Friedman and Manes, ACM TOS 2017). That keeps a stable
+//! resident set under a loop of more plans than the cache holds, where
+//! plain LRU evicts every plan just before it comes round again. Entries
+//! at an epoch older than the newest one the cache has seen can never hit
+//! again and are evicted first, without a contest.
+//!
+//! Counters (lookups, hits, misses, evictions, refusals, refreshes) are
+//! kept under the cache's mutex and surfaced through
+//! [`PlanCache::snapshot`]; `lookups = hits + misses` holds exactly at
+//! every snapshot, and `evictions + refusals ≤ misses` (only a miss
+//! inserts, and an insert evicts or is refused at most once). `cfl-verify`
+//! checks both.
 //!
 //! Plans outlive a delta only through [`PlanCache::refresh`], which keeps
 //! an entry when `plan_survives_delta` proves its CPI bit-identical to a
@@ -38,13 +51,17 @@ use crate::filters::{cand_verify_stats, FilterContext, FilterOptions, GraphStats
 use crate::order::OrderPlan;
 use crate::result::MatchStats;
 use crate::root::select_root_with_candidates;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound on cached plans per [`PlanCache`]. Workloads rarely use
-/// more than a few dozen query templates; beyond that LRU recency keeps
-/// the hot ones resident.
+/// more than a few dozen query templates; beyond that recency picks the
+/// victim and frequency-gated admission keeps a looping set resident.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
+
+/// The request counts are halved every `AGING_PERIOD × capacity` lookups,
+/// so admission weighs recent frequency, not all-time popularity.
+const AGING_PERIOD: usize = 10;
 
 /// The preparation-relevant slice of a [`MatchConfig`]: two configs with
 /// equal signatures produce identical CPIs, orders and decompositions.
@@ -100,7 +117,8 @@ impl CachedPlan {
     }
 }
 
-/// Counter snapshot; `lookups == hits + misses` always holds.
+/// Counter snapshot; `lookups == hits + misses` and
+/// `evictions + refusals <= misses` always hold.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Cache consultations (one per prepare attempt through a cached
@@ -110,11 +128,29 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that fell through to a cold preparation.
     pub misses: u64,
-    /// Entries displaced by LRU capacity pressure.
+    /// Entries displaced to make room for a new plan: the coldest entry,
+    /// or first an entry at an epoch older than the newest seen.
     pub evictions: u64,
+    /// New plans the admission filter turned away: each returned after an
+    /// eviction or refusal without having been requested more often than
+    /// the coldest entry.
+    pub refusals: u64,
     /// Entries refreshed in place across a delta by
     /// [`PlanCache::refresh`] instead of going stale with the epoch bump.
     pub refreshes: u64,
+}
+
+impl From<PlanCacheStats> for cfl_trace::CacheTrace {
+    fn from(s: PlanCacheStats) -> Self {
+        cfl_trace::CacheTrace {
+            plan_lookups: s.lookups,
+            plan_hits: s.hits,
+            plan_misses: s.misses,
+            plan_evictions: s.evictions,
+            plan_refusals: s.refusals,
+            plan_refreshes: s.refreshes,
+        }
+    }
 }
 
 struct Entry {
@@ -124,34 +160,162 @@ struct Entry {
     plan: Arc<CachedPlan>,
 }
 
-/// A bounded LRU of prepared query plans, keyed by canonical fingerprint.
+/// The admission key of a plan: its fingerprint folded with the concrete
+/// labels. The fingerprint alone is invariant under label renaming, so it
+/// would pool the counts of plans that never share an entry.
+fn plan_key(canon: &CanonicalQuery) -> u128 {
+    const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+    canon.canon_labels.iter().fold(canon.fingerprint, |h, &l| {
+        (h ^ u128::from(l)).wrapping_mul(FNV128_PRIME)
+    })
+}
+
+/// Frequency-gated admission for a recency-ordered list of at most
+/// `capacity` entries, over `u128` plan keys.
+///
+/// Every lookup bumps its key's request count; the counts are halved
+/// every `AGING_PERIOD × capacity` lookups. Keys evicted or refused are
+/// remembered in a ghost list of the last `capacity` of them. A key not
+/// in the ghost list is admitted as LRU would admit it: the coldest entry
+/// makes room. A key that returns from the ghost list is the thrashing
+/// signal: it displaces the coldest entry only when the requests it had
+/// before this one strictly outnumber the coldest entry's. On a loop of
+/// more keys than the capacity every count ties, so returning keys are
+/// refused and the resident ones keep hitting.
+struct Admission {
+    capacity: usize,
+    /// Aged request counts by plan key.
+    counts: HashMap<u128, u32>,
+    /// Lookups since the counts were last halved.
+    since_aging: usize,
+    /// The last `capacity` keys evicted or refused, oldest first.
+    ghost: VecDeque<u128>,
+}
+
+/// How [`Admission::make_room`] answered a new entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Room {
+    /// The list had a free slot.
+    Free,
+    /// An entry was evicted to make room.
+    Evicted,
+    /// The new entry is refused; the list is unchanged.
+    Refused,
+}
+
+impl Admission {
+    fn new(capacity: usize) -> Self {
+        Admission {
+            capacity,
+            counts: HashMap::new(),
+            since_aging: 0,
+            ghost: VecDeque::with_capacity(capacity),
+        }
+    }
+
+    /// Counts one request for `key`, aging every count when the period is
+    /// up.
+    fn record(&mut self, key: u128) {
+        let c = self.counts.entry(key).or_insert(0);
+        *c = c.saturating_add(1);
+        self.since_aging += 1;
+        if self.since_aging >= AGING_PERIOD * self.capacity {
+            self.since_aging = 0;
+            self.counts.retain(|_, c| {
+                *c /= 2;
+                *c > 0
+            });
+        }
+    }
+
+    fn count(&self, key: u128) -> u32 {
+        self.counts.get(&key).copied().unwrap_or(0)
+    }
+
+    /// Moves `key` to the young end of the ghost list.
+    fn remember(&mut self, key: u128) {
+        self.forget(key);
+        if self.ghost.len() == self.capacity {
+            self.ghost.pop_front();
+        }
+        self.ghost.push_back(key);
+    }
+
+    /// Drops `key` from the ghost list; whether it was there.
+    fn forget(&mut self, key: u128) -> bool {
+        match self.ghost.iter().position(|&k| k == key) {
+            Some(i) => {
+                self.ghost.remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Makes room in `entries` (front = coldest) for a new entry keyed
+    /// `key`, unless admission refuses it. An entry for which `stale`
+    /// holds is evicted first, with no contest and no ghost: it can never
+    /// be asked for again.
+    fn make_room<E>(
+        &mut self,
+        entries: &mut Vec<E>,
+        key: u128,
+        key_of: impl Fn(&E) -> u128,
+        stale: impl Fn(&E) -> bool,
+    ) -> Room {
+        if entries.len() < self.capacity {
+            return Room::Free;
+        }
+        if let Some(i) = entries.iter().position(stale) {
+            entries.remove(i);
+            return Room::Evicted;
+        }
+        let victim = key_of(&entries[0]);
+        if self.forget(key) && self.count(key).saturating_sub(1) <= self.count(victim) {
+            self.remember(key);
+            return Room::Refused;
+        }
+        entries.remove(0);
+        self.remember(victim);
+        Room::Evicted
+    }
+}
+
+/// Everything behind the cache's mutex.
+struct Inner {
+    /// Recency order: front = coldest, back = hottest.
+    entries: Vec<Entry>,
+    admission: Admission,
+    /// The newest graph epoch a lookup or insert has named. Entries at an
+    /// older epoch can never hit again: [`PlanCache::refresh`] carries
+    /// the survivors of a delta forward, so an older entry is a plan a
+    /// query admitted before the delta stored after it.
+    newest_epoch: u64,
+    stats: PlanCacheStats,
+}
+
+/// A bounded cache of prepared query plans, keyed by canonical fingerprint,
+/// with recency-ordered eviction behind a frequency admission filter (see
+/// the [module docs](self)).
 ///
 /// Shareable (`Arc`) across [`DataGraph`](crate::session::DataGraph)
 /// sessions, but only across versions of the *same* data graph lineage:
 /// entries are distinguished by graph epoch, which delta application
 /// bumps, not by graph identity.
 pub struct PlanCache {
-    capacity: usize,
-    /// LRU order: front = coldest, back = hottest.
-    entries: Mutex<Vec<Entry>>,
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    refreshes: AtomicU64,
+    inner: Mutex<Inner>,
 }
 
 impl PlanCache {
     /// A cache holding at most `capacity` plans (minimum 1).
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            capacity: capacity.max(1),
-            entries: Mutex::new(Vec::new()),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            refreshes: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                entries: Vec::new(),
+                admission: Admission::new(capacity.max(1)),
+                newest_epoch: 0,
+                stats: PlanCacheStats::default(),
+            }),
         }
     }
 
@@ -160,20 +324,15 @@ impl PlanCache {
         Self::new(DEFAULT_PLAN_CACHE_CAPACITY)
     }
 
-    /// Current counter values.
+    /// Current counter values, read under the cache's mutex so both
+    /// counter identities hold exactly.
     pub fn snapshot(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            lookups: self.lookups.load(Ordering::Acquire),
-            hits: self.hits.load(Ordering::Acquire),
-            misses: self.misses.load(Ordering::Acquire),
-            evictions: self.evictions.load(Ordering::Acquire),
-            refreshes: self.refreshes.load(Ordering::Acquire),
-        }
+        self.lock().stats
     }
 
     /// Number of resident plans.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().entries.len()
     }
 
     /// Whether no plans are resident.
@@ -183,11 +342,11 @@ impl PlanCache {
 
     /// Drops every resident plan (counters keep accumulating).
     pub fn clear(&self) {
-        self.lock().clear();
+        self.lock().entries.clear();
     }
 
-    fn lock(&self) -> MutexGuard<'_, Vec<Entry>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Position of the entry serving `canon` at `epoch` under `sig`.
@@ -207,40 +366,45 @@ impl PlanCache {
 
     /// Canonicalizes `q` and consults the cache. Returns the caller's
     /// canonicalization (for a later [`insert`](Self::insert)) and the
-    /// stored plan on a hit. Every call counts as one lookup; a `None`
-    /// canonicalization (budget bailout on a pathological query) counts
-    /// as a miss with nothing to store.
+    /// stored plan on a hit. Every call counts as one lookup and one
+    /// request for admission; a `None` canonicalization (budget bailout on
+    /// a pathological query) counts as a miss with nothing to store.
     pub(crate) fn lookup(
         &self,
         q: &Graph,
         epoch: u64,
         config: &MatchConfig,
     ) -> (Option<CanonicalQuery>, Option<Arc<CachedPlan>>) {
-        self.lookups.fetch_add(1, Ordering::AcqRel);
-        let Some(canon) = canonical_query(q) else {
-            self.misses.fetch_add(1, Ordering::AcqRel);
+        let canon = canonical_query(q);
+        let mut inner = self.lock();
+        inner.stats.lookups += 1;
+        let Some(canon) = canon else {
+            inner.stats.misses += 1;
             return (None, None);
         };
+        inner.newest_epoch = inner.newest_epoch.max(epoch);
+        inner.admission.record(plan_key(&canon));
         let sig = ConfigSig::of(config);
-        let mut entries = self.lock();
-        match Self::position(&entries, epoch, &sig, &canon) {
+        match Self::position(&inner.entries, epoch, &sig, &canon) {
             Some(i) => {
-                self.hits.fetch_add(1, Ordering::AcqRel);
+                inner.stats.hits += 1;
                 // Refresh recency: move to the back.
-                let entry = entries.remove(i);
+                let entry = inner.entries.remove(i);
                 let plan = Arc::clone(&entry.plan);
-                entries.push(entry);
+                inner.entries.push(entry);
                 (Some(canon), Some(plan))
             }
             None => {
-                self.misses.fetch_add(1, Ordering::AcqRel);
+                inner.stats.misses += 1;
                 (Some(canon), None)
             }
         }
     }
 
-    /// Stores the plan a miss just prepared. Racing inserts of the same
-    /// key keep the newest; capacity pressure evicts the coldest entry.
+    /// Stores the plan a miss just prepared, if admission lets it in.
+    /// Racing inserts of the same key keep the newest; a full cache evicts
+    /// a stale-epoch entry if it has one, the coldest entry otherwise, or
+    /// refuses the plan (see `Admission`).
     pub(crate) fn insert(
         &self,
         epoch: u64,
@@ -249,14 +413,28 @@ impl PlanCache {
         plan: Arc<CachedPlan>,
     ) {
         let sig = ConfigSig::of(config);
-        let mut entries = self.lock();
-        if let Some(i) = Self::position(&entries, epoch, &sig, &canon) {
-            entries.remove(i);
-        } else if entries.len() >= self.capacity {
-            entries.remove(0);
-            self.evictions.fetch_add(1, Ordering::AcqRel);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.newest_epoch = inner.newest_epoch.max(epoch);
+        if let Some(i) = Self::position(&inner.entries, epoch, &sig, &canon) {
+            inner.entries.remove(i);
+        } else {
+            let newest = inner.newest_epoch;
+            match inner.admission.make_room(
+                &mut inner.entries,
+                plan_key(&canon),
+                |e| plan_key(&e.canon),
+                |e| e.epoch < newest,
+            ) {
+                Room::Free => {}
+                Room::Evicted => inner.stats.evictions += 1,
+                Room::Refused => {
+                    inner.stats.refusals += 1;
+                    return;
+                }
+            }
         }
-        entries.push(Entry {
+        inner.entries.push(Entry {
             epoch,
             sig,
             canon,
@@ -290,8 +468,9 @@ impl PlanCache {
         let old_epoch = old.epoch();
         let new_epoch = g.epoch();
         let mut refreshed = 0usize;
-        let mut entries = self.lock();
-        entries.retain_mut(|e| {
+        let mut inner = self.lock();
+        inner.newest_epoch = inner.newest_epoch.max(new_epoch);
+        inner.entries.retain_mut(|e| {
             if e.epoch != old_epoch {
                 return true;
             }
@@ -303,8 +482,7 @@ impl PlanCache {
                 false
             }
         });
-        drop(entries);
-        self.refreshes.fetch_add(refreshed as u64, Ordering::AcqRel);
+        inner.stats.refreshes += refreshed as u64;
         refreshed
     }
 }
@@ -434,9 +612,9 @@ pub(crate) fn peek(
     config: &MatchConfig,
 ) -> Option<Arc<CachedPlan>> {
     let canon = canonical_query(q)?;
-    let entries = cache.lock();
-    PlanCache::position(&entries, epoch, &ConfigSig::of(config), &canon)
-        .map(|i| Arc::clone(&entries[i].plan))
+    let inner = cache.lock();
+    PlanCache::position(&inner.entries, epoch, &ConfigSig::of(config), &canon)
+        .map(|i| Arc::clone(&inner.entries[i].plan))
 }
 
 /// Builds the cacheable snapshot of a preparation: `Arc`-shares the CPI,
@@ -964,6 +1142,285 @@ mod tests {
         let applied = toggle(&g0, true, 1, 3);
         assert_eq!(cache.refresh(&g0, &applied), 1);
         assert_resident_and_exact(&cache, &q, &applied.graph, &config);
+    }
+
+    /// The edge query `a — b`.
+    fn edge(a: u32, b: u32) -> Graph {
+        graph_from_edges(&[a, b], &[(0, 1)]).unwrap()
+    }
+
+    #[test]
+    fn late_stale_insert_cannot_block_admission() {
+        let config = MatchConfig::exhaustive();
+        let g0 = data_graph();
+        let mut delta = cfl_graph::GraphDelta::new();
+        delta.insert(1, 3);
+        let g1 = g0.apply_delta(&delta).unwrap().graph;
+        let (e0, e1) = (g0.epoch(), g1.epoch());
+        let [a, b, c, d] = [edge(0, 1), edge(1, 2), edge(0, 2), edge(2, 2)];
+        let miss_then_insert = |cache: &PlanCache, q: &Graph| {
+            assert!(cache.lookup(q, e1, &config).1.is_none());
+            let (canon, plan) = entry_for(q, &g1, &config);
+            cache.insert(e1, &config, canon, plan);
+        };
+        // `a`'s plan lands at `late`: the old epoch, as a query admitted
+        // before the delta stores it, or the live one for contrast.
+        for late in [e0, e1] {
+            let cache = PlanCache::new(2);
+            // Queries on the old snapshot ask for `a` often.
+            for _ in 0..5 {
+                assert!(cache.lookup(&a, e0, &config).1.is_none());
+            }
+            // After the delta, `d` pushes `c` out into the ghost list.
+            for q in [&c, &b, &d] {
+                miss_then_insert(&cache, q);
+            }
+            let (canon, plan) = entry_for(&a, if late == e0 { &g0 } else { &g1 }, &config);
+            cache.insert(late, &config, canon, plan);
+            // A hit on `d` leaves `a`, with five requests, the coldest entry.
+            assert!(cache.lookup(&d, e1, &config).1.is_some());
+            // `c` returns with two requests, fewer than `a`'s five.
+            miss_then_insert(&cache, &c);
+            let snap = cache.snapshot();
+            assert!(snap.evictions + snap.refusals <= snap.misses);
+            if late == e0 {
+                // The stale entry goes first, with no contest.
+                assert!(peek(&cache, &a, e0, &config).is_none());
+                assert!(peek(&cache, &c, e1, &config).is_some());
+                assert_eq!(snap.refusals, 0);
+            } else {
+                // A live entry wins the contest and `c` is refused.
+                assert!(peek(&cache, &a, e1, &config).is_some());
+                assert!(peek(&cache, &c, e1, &config).is_none());
+                assert_eq!(snap.refusals, 1);
+            }
+            assert!(peek(&cache, &d, e1, &config).is_some());
+        }
+    }
+
+    #[test]
+    fn loop_beyond_capacity_hits_and_stays_exact_across_refreshes() {
+        // Eight distinct plans cycled through four entries: LRU evicts
+        // every plan just before it comes round again and never hits.
+        let queries = [
+            triangle_query(),
+            edge(0, 1),
+            edge(1, 2),
+            edge(0, 2),
+            edge(0, 3),
+            edge(2, 3),
+            graph_from_edges(&[0, 3, 0], &[(0, 1), (1, 2)]).unwrap(),
+            edge(3, 3),
+        ];
+        let config = MatchConfig::exhaustive();
+        let cache = Arc::new(PlanCache::new(4));
+        let mut g = motif_graph();
+        let deltas = [(true, 6, 7), (true, 32, 34), (false, 6, 7), (true, 1, 3)];
+        for pass in 0..=deltas.len() {
+            let session = crate::session::DataGraph::new(&g).with_plan_cache(Arc::clone(&cache));
+            let hits = cache.snapshot().hits;
+            for q in &queries {
+                let (mut cached, report) = session.collect_embeddings(q, &config).unwrap();
+                let (mut cold, _) = crate::exec::collect_embeddings(q, &g, &config).unwrap();
+                cached.sort_by(|x, y| x.mapping.cmp(&y.mapping));
+                cold.sort_by(|x, y| x.mapping.cmp(&y.mapping));
+                assert_eq!(
+                    cached.iter().map(|e| &e.mapping).collect::<Vec<_>>(),
+                    cold.iter().map(|e| &e.mapping).collect::<Vec<_>>()
+                );
+                assert_eq!(report.embeddings, cold.len() as u64);
+                assert_eq!(
+                    session.count_embeddings(q, &config).unwrap().embeddings,
+                    crate::exec::count_embeddings(q, &g, &config)
+                        .unwrap()
+                        .embeddings
+                );
+            }
+            if pass > 0 {
+                assert!(cache.snapshot().hits > hits, "pass {pass} hit nothing");
+            }
+            if let Some(&(insert, a, b)) = deltas.get(pass) {
+                let applied = toggle(&g, insert, a, b);
+                cache.refresh(&g, &applied);
+                g = applied.graph;
+            }
+        }
+        let snap = cache.snapshot();
+        assert_eq!(snap.lookups, snap.hits + snap.misses);
+        assert!(snap.evictions + snap.refusals <= snap.misses);
+        assert!(snap.refusals > 0);
+    }
+
+    #[test]
+    fn snapshots_balance_while_lookups_race() {
+        let g = data_graph();
+        let config = MatchConfig::exhaustive();
+        let cache = PlanCache::new(8);
+        let q = triangle_query();
+        let (canon, plan) = entry_for(&q, &g, &config);
+        cache.insert(g.epoch(), &config, canon, plan);
+        std::thread::scope(|s| {
+            for other in [q.clone(), edge(0, 1)] {
+                let (cache, config) = (&cache, &config);
+                let epoch = g.epoch();
+                s.spawn(move || {
+                    for _ in 0..2_000 {
+                        let _ = cache.lookup(&other, epoch, config);
+                    }
+                });
+            }
+            for _ in 0..2_000 {
+                let snap = cache.snapshot();
+                assert_eq!(snap.lookups, snap.hits + snap.misses);
+            }
+        });
+        assert_eq!(cache.snapshot().lookups, 4_000);
+    }
+
+    /// A splitmix64 stream: the access patterns below are fixed, not drawn
+    /// per run.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// `len` keys drawn from `n` with Zipf exponent `s` (key 0 hottest).
+    fn zipf(rng: &mut Rng, n: usize, s: f64, len: usize) -> Vec<u128> {
+        let mut cdf: Vec<f64> = (1..=n).map(|i| (i as f64).powf(-s)).collect();
+        for i in 1..n {
+            cdf[i] += cdf[i - 1];
+        }
+        let total = cdf[n - 1];
+        (0..len)
+            .map(|_| {
+                let x = rng.unit() * total;
+                cdf.partition_point(|&c| c < x).min(n - 1) as u128
+            })
+            .collect()
+    }
+
+    /// `len` accesses to 32 hot keys, among which one-off keys (one in
+    /// ten accesses) start; each is touched 2–3 times in all, each touch
+    /// up to `max_gap` accesses after the previous one.
+    fn bursts(rng: &mut Rng, len: usize, max_gap: usize) -> Vec<u128> {
+        let mut out = Vec::with_capacity(len);
+        let mut due: Vec<(usize, u128)> = Vec::new();
+        let mut next_key = 1_000u128;
+        while out.len() < len {
+            let t = out.len();
+            if let Some(i) = due.iter().position(|&(at, _)| at <= t) {
+                out.push(due.swap_remove(i).1);
+            } else if rng.unit() < 0.1 {
+                let key = next_key;
+                next_key += 1;
+                out.push(key);
+                let mut at = t;
+                for _ in 0..1 + rng.below(2) {
+                    at += 1 + rng.below(max_gap);
+                    due.push((at, key));
+                }
+            } else {
+                out.push(rng.below(32) as u128);
+            }
+        }
+        out
+    }
+
+    /// Hits of plain LRU at `capacity` over `keys`, from access `from` on.
+    fn lru_hits(keys: &[u128], capacity: usize, from: usize) -> usize {
+        let mut entries: Vec<u128> = Vec::new();
+        let mut hits = 0;
+        for (i, &k) in keys.iter().enumerate() {
+            if let Some(p) = entries.iter().position(|&e| e == k) {
+                entries.remove(p);
+                hits += usize::from(i >= from);
+            } else if entries.len() == capacity {
+                entries.remove(0);
+            }
+            entries.push(k);
+        }
+        hits
+    }
+
+    /// Hits of the admission-gated list at `capacity` (the decisions
+    /// [`PlanCache::lookup`] and [`PlanCache::insert`] make) over `keys`,
+    /// from access `from` on.
+    fn gated_hits(keys: &[u128], capacity: usize, from: usize) -> usize {
+        let mut admission = Admission::new(capacity);
+        let mut entries: Vec<u128> = Vec::new();
+        let mut hits = 0;
+        for (i, &k) in keys.iter().enumerate() {
+            admission.record(k);
+            if let Some(p) = entries.iter().position(|&e| e == k) {
+                entries.remove(p);
+                entries.push(k);
+                hits += usize::from(i >= from);
+            } else if admission.make_room(&mut entries, k, |&e| e, |_| false) != Room::Refused {
+                entries.push(k);
+            }
+        }
+        hits
+    }
+
+    #[test]
+    fn admission_hits_versus_lru() {
+        const CAP: usize = DEFAULT_PLAN_CACHE_CAPACITY;
+        const LEN: usize = 20_000;
+        let mut rng = Rng(0x00C0_FFEE);
+        let random = |rng: &mut Rng, n: usize, offset: u128| -> Vec<u128> {
+            (0..LEN / 2)
+                .map(|_| offset + rng.below(n) as u128)
+                .collect()
+        };
+        let looped = |n: usize, offset: u128| (0..LEN / 2).map(move |i| offset + (i % n) as u128);
+        let patterns: Vec<(&str, Vec<u128>)> = vec![
+            ("loop of 93", (0..LEN).map(|i| (i % 93) as u128).collect()),
+            (
+                "random 48",
+                (0..LEN).map(|_| rng.below(48) as u128).collect(),
+            ),
+            ("zipf 200, s = 1.0", zipf(&mut rng, 200, 1.0, LEN)),
+            ("zipf 1000, s = 0.8", zipf(&mut rng, 1000, 0.8, LEN)),
+            ("phase, random 48 -> 48", {
+                let mut keys = random(&mut rng, 48, 0);
+                keys.extend(random(&mut rng, 48, 1_000));
+                keys
+            }),
+            (
+                "phase, looped 48 -> 48",
+                looped(48, 0).chain(looped(48, 1_000)).collect(),
+            ),
+            ("bursts, adjacent touches", bursts(&mut rng, LEN, 1)),
+            ("bursts, touches 1-200 apart", bursts(&mut rng, LEN, 200)),
+        ];
+        for (name, keys) in &patterns {
+            // The loop is judged after its first pass; nothing can hit in it.
+            let from = if name.starts_with("loop") { 93 } else { 0 };
+            let lru = lru_hits(keys, CAP, from);
+            let gated = gated_hits(keys, CAP, from);
+            let judged = keys.len() - from;
+            println!("{name:<30} {judged:>6} accesses  LRU {lru:>6}  gated {gated:>6}");
+            if from > 0 {
+                assert!(2 * gated >= judged, "{name}: {gated} of {judged} hit");
+            } else {
+                assert!(gated + judged / 200 >= lru, "{name}: {gated} vs LRU {lru}");
+            }
+        }
     }
 
     #[test]

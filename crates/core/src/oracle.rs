@@ -16,8 +16,9 @@ use crate::filters::{FilterContext, GraphStats};
 
 /// The [`Cpi::checksum`](crate::Cpi::checksum) of the plan `cache` holds
 /// for `q` (or any label-preserving isomorph of it) at `epoch` under
-/// `config`, if one is resident. Counts no lookup and leaves LRU recency
-/// alone, so probing does not perturb the cache under test.
+/// `config`, if one is resident. Counts no lookup and leaves recency and
+/// admission counts alone, so probing does not perturb the cache under
+/// test.
 pub fn cached_plan_checksum(
     cache: &PlanCache,
     q: &Graph,

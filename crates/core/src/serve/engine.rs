@@ -500,9 +500,19 @@ impl Engine {
     }
 
     /// Snapshot of the serving counters. Taken under the transition lock,
-    /// so the accounting identities hold exactly at every snapshot.
+    /// so the accounting identities hold exactly at every snapshot. The
+    /// plan-cache counters are summed over the registered graphs, each
+    /// cache read under its own mutex, so the cache identities hold too.
     pub fn stats(&self) -> ServeTrace {
-        lock(&self.shared.counters).clone()
+        let mut t = lock(&self.shared.counters).clone();
+        let caches: Vec<Arc<PlanCache>> = lock(&self.shared.graphs)
+            .values()
+            .filter_map(|state| state.cache.clone())
+            .collect();
+        for cache in caches {
+            t.cache.accumulate(&cache.snapshot().into());
+        }
+        t
     }
 
     /// Stops admission, drains the queue, and joins the workers. Queued

@@ -434,6 +434,14 @@ mod tests {
             stats.get("deltas_applied").and_then(json::Json::as_u64),
             Some(1)
         );
+        // The plan cache's counters ride along: one cold lookup so far.
+        for (key, want) in [("plan_lookups", 1), ("plan_misses", 1), ("plan_hits", 0)] {
+            assert_eq!(
+                stats.get(key).and_then(json::Json::as_u64),
+                Some(want),
+                "{key}"
+            );
+        }
 
         // Malformed frame: error response, connection stays usable.
         let resp = client.request(r#"{"op":"warp"}"#).unwrap();

@@ -142,12 +142,7 @@ impl<'g> DataGraph<'g> {
         let mut report = self.run_inner(q, config, sink)?;
         #[cfg(feature = "trace")]
         if let (Some(cache), Some(trace)) = (&self.cache, report.stats.trace.as_deref_mut()) {
-            let snap = cache.snapshot();
-            trace.cache.plan_lookups = snap.lookups;
-            trace.cache.plan_hits = snap.hits;
-            trace.cache.plan_misses = snap.misses;
-            trace.cache.plan_evictions = snap.evictions;
-            trace.cache.plan_refreshes = snap.refreshes;
+            trace.cache = cache.snapshot().into();
         }
         Ok(report)
     }

@@ -188,10 +188,11 @@ impl BuildTrace {
     }
 }
 
-/// Plan-cache counters (always-on atomics in the engine, so these fill
-/// even without the `trace` feature when the caller copies a `PlanCache`
-/// snapshot in). `plan_lookups = plan_hits + plan_misses` is an
-/// accounting identity `cfl_verify::check_trace` re-checks.
+/// Plan-cache counters (always kept by the cache, so these fill even
+/// without the `trace` feature when the caller copies a `PlanCache`
+/// snapshot in). `plan_lookups = plan_hits + plan_misses` and
+/// `plan_evictions + plan_refusals ≤ plan_misses` are accounting
+/// identities `cfl_verify::check_trace` and `check_serve_trace` re-check.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheTrace {
     /// Plan-cache consultations (one per prepare through a cached session).
@@ -200,12 +201,46 @@ pub struct CacheTrace {
     pub plan_hits: u64,
     /// Lookups that fell through to a cold preparation.
     pub plan_misses: u64,
-    /// Entries displaced by LRU capacity pressure.
+    /// Entries displaced to make room for a new plan (the coldest one, or
+    /// first one at an epoch older than the newest the cache has seen).
     pub plan_evictions: u64,
+    /// New plans the cache's frequency admission filter refused: each
+    /// returned after an eviction or refusal without having been requested
+    /// more often than the coldest entry.
+    pub plan_refusals: u64,
     /// Cached plans restamped in place across a delta by the plan cache's
     /// retention proof (`PlanCache::refresh`) instead of going stale with
     /// the epoch bump.
     pub plan_refreshes: u64,
+}
+
+impl CacheTrace {
+    /// The counters as comma-separated JSON members (no braces), shared by
+    /// [`TraceReport::to_json`] and [`ServeTrace::to_json`].
+    #[must_use]
+    pub fn json_fields(&self) -> String {
+        format!(
+            "\"plan_lookups\": {}, \"plan_hits\": {}, \"plan_misses\": {}, \
+             \"plan_evictions\": {}, \"plan_refusals\": {}, \"plan_refreshes\": {}",
+            self.plan_lookups,
+            self.plan_hits,
+            self.plan_misses,
+            self.plan_evictions,
+            self.plan_refusals,
+            self.plan_refreshes
+        )
+    }
+
+    /// Adds `other`'s counters into these (summing caches keeps both
+    /// identities).
+    pub fn accumulate(&mut self, other: &CacheTrace) {
+        self.plan_lookups += other.plan_lookups;
+        self.plan_hits += other.plan_hits;
+        self.plan_misses += other.plan_misses;
+        self.plan_evictions += other.plan_evictions;
+        self.plan_refusals += other.plan_refusals;
+        self.plan_refreshes += other.plan_refreshes;
+    }
 }
 
 /// Size metrics of the frozen CPI (§4.1; the Figure 16(d) axes).
@@ -391,6 +426,10 @@ impl TraceReport {
             self.cache.plan_evictions
         ));
         out.push_str(&format!(
+            "  plan refusals       {:>10}\n",
+            self.cache.plan_refusals
+        ));
+        out.push_str(&format!(
             "  plan refreshes      {:>10}\n",
             self.cache.plan_refreshes
         ));
@@ -457,14 +496,7 @@ impl TraceReport {
             self.cpi.total_edges,
             json_u32_array(&self.cpi.candidates_per_vertex)
         ));
-        s.push_str(&format!(
-            "  \"cache\": {{\"plan_lookups\": {}, \"plan_hits\": {}, \"plan_misses\": {}, \"plan_evictions\": {}, \"plan_refreshes\": {}}},\n",
-            self.cache.plan_lookups,
-            self.cache.plan_hits,
-            self.cache.plan_misses,
-            self.cache.plan_evictions,
-            self.cache.plan_refreshes
-        ));
+        s.push_str(&format!("  \"cache\": {{{}}},\n", self.cache.json_fields()));
         s.push_str("  \"workers\": [");
         for (i, w) in self.workers.iter().enumerate() {
             if i > 0 {
@@ -534,6 +566,9 @@ pub struct ServeTrace {
     pub deltas_applied: u64,
     /// Cached plans the plan cache restamped across those deltas.
     pub plans_refreshed: u64,
+    /// The plan-cache counters, summed over the registered graphs' caches
+    /// (each read under its cache's mutex, so both cache identities hold).
+    pub cache: CacheTrace,
 }
 
 impl ServeTrace {
@@ -552,7 +587,7 @@ impl ServeTrace {
             "{{\"submitted\": {}, \"admitted\": {}, \"rejected\": {}, \"completed\": {}, \
              \"cancelled\": {}, \"deadline_expired\": {}, \"limit_reached\": {}, \
              \"failed\": {}, \"active\": {}, \"queued\": {}, \"batches\": {}, \
-             \"embeddings_streamed\": {}, \"deltas_applied\": {}, \"plans_refreshed\": {}}}",
+             \"embeddings_streamed\": {}, \"deltas_applied\": {}, \"plans_refreshed\": {}, {}}}",
             self.submitted,
             self.admitted,
             self.rejected,
@@ -567,6 +602,7 @@ impl ServeTrace {
             self.embeddings_streamed,
             self.deltas_applied,
             self.plans_refreshed,
+            self.cache.json_fields(),
         )
     }
 
@@ -591,6 +627,12 @@ impl ServeTrace {
         row("embeddings streamed", self.embeddings_streamed);
         row("deltas applied", self.deltas_applied);
         row("plans refreshed", self.plans_refreshed);
+        row("plan lookups", self.cache.plan_lookups);
+        row("plan hits", self.cache.plan_hits);
+        row("plan misses", self.cache.plan_misses);
+        row("plan evictions", self.cache.plan_evictions);
+        row("plan refusals", self.cache.plan_refusals);
+        row("plan refreshes", self.cache.plan_refreshes);
         out
     }
 }
@@ -636,6 +678,7 @@ mod tests {
                 plan_hits: 9,
                 plan_misses: 3,
                 plan_evictions: 1,
+                plan_refusals: 1,
                 plan_refreshes: 2,
             },
             workers: vec![WorkerTrace {
@@ -706,6 +749,7 @@ mod tests {
             "\"cache\"",
             "\"plan_lookups\": 12",
             "\"plan_hits\": 9",
+            "\"plan_refusals\": 1",
             "\"plan_refreshes\": 2",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
@@ -732,6 +776,7 @@ mod tests {
         let t = r.render_table();
         assert!(t.contains("plan cache"));
         assert!(t.contains("plan lookups"));
+        assert!(t.contains("plan refusals"));
         assert!(t.contains("plan refreshes"));
     }
 
@@ -752,6 +797,14 @@ mod tests {
             embeddings_streamed: 300,
             deltas_applied: 2,
             plans_refreshed: 1,
+            cache: CacheTrace {
+                plan_lookups: 8,
+                plan_hits: 5,
+                plan_misses: 3,
+                plan_evictions: 1,
+                plan_refusals: 1,
+                plan_refreshes: 1,
+            },
         };
         assert_eq!(s.submitted, s.admitted + s.rejected);
         assert_eq!(s.admitted, s.finished() + s.active + s.queued);
@@ -762,6 +815,8 @@ mod tests {
             "\"deadline_expired\": 1",
             "\"embeddings_streamed\": 300",
             "\"plans_refreshed\": 1",
+            "\"plan_lookups\": 8",
+            "\"plan_refusals\": 1",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }

@@ -11,7 +11,7 @@
 //! recording, a counter bumped twice) is caught even though the engine's
 //! results are unaffected by tracing.
 
-use cfl_trace::{TraceReport, WorkerTrace};
+use cfl_trace::{CacheTrace, TraceReport, WorkerTrace};
 
 use crate::report::Report;
 
@@ -36,8 +36,9 @@ use crate::report::Report;
 ///   of a mapped child, and each unwind records one backtrack.
 /// - `trace-cache-accounting`: every plan-cache consultation resolves to
 ///   exactly one of hit or miss (`plan_lookups == plan_hits +
-///   plan_misses`), and evictions never exceed the insertions misses can
-///   have caused (`plan_evictions ≤ plan_misses`).
+///   plan_misses`), and evictions plus refusals never exceed the
+///   insertions misses can have caused (`plan_evictions + plan_refusals ≤
+///   plan_misses`: an insert evicts at most one entry or is refused).
 ///
 /// `total_embeddings` is the embedding count from the engine's
 /// `MatchReport` when available; pass `None` for reports captured before
@@ -98,30 +99,7 @@ pub fn check_trace(report: &TraceReport, total_embeddings: Option<u64>) -> Repor
         );
     }
 
-    let c = &report.cache;
-    if c.plan_lookups != c.plan_hits + c.plan_misses {
-        out.violation(
-            "trace-cache-accounting",
-            None,
-            None,
-            format!(
-                "plan-cache lookups {} != hits {} + misses {}",
-                c.plan_lookups, c.plan_hits, c.plan_misses
-            ),
-        );
-    }
-    if c.plan_evictions > c.plan_misses {
-        out.violation(
-            "trace-cache-accounting",
-            None,
-            None,
-            format!(
-                "plan-cache evictions {} exceed misses {} (only a miss can insert, \
-                 only an insert can evict)",
-                c.plan_evictions, c.plan_misses
-            ),
-        );
-    }
+    check_cache(&mut out, "trace-cache-accounting", &report.cache);
 
     if let Some(total) = total_embeddings {
         let worker_sum = report.total_worker_embeddings();
@@ -189,6 +167,10 @@ fn check_worker(out: &mut Report, index: usize, w: &WorkerTrace) {
 ///
 /// Checks performed (stable check identifiers in brackets):
 ///
+/// - `serve-cache-accounting`: the plan-cache counters summed over the
+///   engine's graphs obey `check_trace`'s two cache identities
+///   (`plan_lookups == plan_hits + plan_misses`,
+///   `plan_evictions + plan_refusals ≤ plan_misses`).
 /// - `serve-admission`: every submission is admitted or rejected, never
 ///   both and never neither (`submitted == admitted + rejected`).
 /// - `serve-completion`: every admitted query is in exactly one state —
@@ -249,6 +231,7 @@ pub fn check_serve_trace(s: &cfl_trace::ServeTrace) -> Report {
             ),
         );
     }
+    check_cache(&mut out, "serve-cache-accounting", &s.cache);
     if s.deltas_applied == 0 && s.plans_refreshed > 0 {
         out.violation(
             "serve-refresh-bound",
@@ -263,10 +246,37 @@ pub fn check_serve_trace(s: &cfl_trace::ServeTrace) -> Report {
     out
 }
 
+/// The two plan-cache identities, reported under `check`.
+fn check_cache(out: &mut Report, check: &'static str, c: &CacheTrace) {
+    if c.plan_lookups != c.plan_hits + c.plan_misses {
+        out.violation(
+            check,
+            None,
+            None,
+            format!(
+                "plan-cache lookups {} != hits {} + misses {}",
+                c.plan_lookups, c.plan_hits, c.plan_misses
+            ),
+        );
+    }
+    if c.plan_evictions + c.plan_refusals > c.plan_misses {
+        out.violation(
+            check,
+            None,
+            None,
+            format!(
+                "plan-cache evictions {} + refusals {} exceed misses {} (only a miss \
+                 can insert, and an insert evicts at most once or is refused)",
+                c.plan_evictions, c.plan_refusals, c.plan_misses
+            ),
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfl_trace::{BuildTrace, CacheTrace, CpiMetrics, EnumCounters};
+    use cfl_trace::{BuildTrace, CpiMetrics, EnumCounters};
 
     fn consistent_report() -> TraceReport {
         let mut r = TraceReport {
@@ -293,6 +303,7 @@ mod tests {
                 plan_hits: 6,
                 plan_misses: 4,
                 plan_evictions: 2,
+                plan_refusals: 1,
                 plan_refreshes: 1,
             },
             ..TraceReport::default()
@@ -387,6 +398,30 @@ mod tests {
     }
 
     #[test]
+    fn cache_refusals_count_against_misses() {
+        // Two evictions plus three refusals cannot follow four misses.
+        let mut r = consistent_report();
+        r.cache.plan_refusals = 3;
+        let checked = check_trace(&r, Some(7));
+        assert!(checked.has_check("trace-cache-accounting"), "{checked}");
+    }
+
+    #[test]
+    fn serve_cache_identities_checked() {
+        let clean = cfl_trace::ServeTrace {
+            cache: consistent_report().cache,
+            ..Default::default()
+        };
+        assert!(check_serve_trace(&clean).is_clean());
+        let mut torn = clean.clone();
+        torn.cache.plan_lookups += 1;
+        assert!(check_serve_trace(&torn).has_check("serve-cache-accounting"));
+        let mut overdrawn = clean;
+        overdrawn.cache.plan_refusals = overdrawn.cache.plan_misses;
+        assert!(check_serve_trace(&overdrawn).has_check("serve-cache-accounting"));
+    }
+
+    #[test]
     fn naive_mode_skips_accounting_identity() {
         let mut r = consistent_report();
         r.build.accounting_exact = false;
@@ -413,6 +448,7 @@ mod tests {
             embeddings_streamed: 90,
             deltas_applied: 1,
             plans_refreshed: 1,
+            cache: CacheTrace::default(),
         };
         let r = check_serve_trace(&s);
         assert!(r.is_clean(), "{r}");
