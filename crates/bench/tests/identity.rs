@@ -14,10 +14,10 @@
 //!   search nodes on both pruning-adversarial shapes;
 //! - (e) every value equals a recorded constant.
 //!
-//! Because (e) is absolute, running this test with
-//! `--features cfl-match/trace` also proves the instrumentation is purely
-//! observational. A PR that means to change one of these values updates
-//! the constant and says why.
+//! The engine records its trace on every run, so because (e) is absolute
+//! these constants also pin the recording as purely observational. A
+//! change that means to alter one of these values updates the constant
+//! and says why.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -365,7 +365,12 @@ fn cmd_match(args: &[String]) {
             per_run_line(quiet, repeat, i, &report, elapsed);
             last = Some((report, elapsed));
         }
-        let (report, elapsed) = last.unwrap_or_else(|| unreachable!("repeat >= 1"));
+        let (mut report, elapsed) = last.unwrap_or_else(|| unreachable!("repeat >= 1"));
+        // The session holds the cache, so its counters are read once here,
+        // after the last run, rather than copied into every run's report.
+        if let (Some(cache), Some(trace)) = (session.plan_cache(), report.stats.trace.as_mut()) {
+            trace.cache = cache.snapshot().into();
+        }
         ("CFL-Match (plan cache)", report, elapsed)
     } else {
         let algo: Box<dyn Matcher> = match algo_name {
@@ -448,16 +453,15 @@ fn per_run_line(
     );
 }
 
-/// Shown when `--stats`/`--stats-json` find no trace data on the report:
-/// either the binary was built without the `trace` feature, or a baseline
-/// algorithm (which records nothing) was selected.
-const NO_TRACE_HINT: &str = "no trace data recorded: rebuild with `--features trace` \
-     and use `--algorithm cfl` for pruning counters and phase timers";
+/// Shown when `--stats` finds no trace data on the report: only CFL-Match
+/// records one, so a baseline algorithm was selected.
+const NO_TRACE_HINT: &str = "no trace data recorded: baseline algorithms record no trace; \
+     use `--algorithm cfl` for pruning counters and phase timers";
 
 /// Emits the run outcome plus the full trace report as one JSON object on
 /// stdout. The `"trace"` member is `null` when no counters were recorded
 /// (see [`NO_TRACE_HINT`]); the outer members are always present so
-/// scripts can consume the output without probing for the feature. A
+/// scripts can consume the output whatever the algorithm. A
 /// `"checksum"` member is appended only under `--checksum`, in the same
 /// `0x`-prefixed format the serve protocol uses.
 fn print_stats_json(report: &cfl_match::MatchReport, elapsed: Duration, digest: Option<u64>) {

@@ -215,3 +215,124 @@ fn serve_accepts_the_benchmark_command_line() {
     assert!(line.starts_with("listening on "), "banner: {line:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The unsigned integer member `key` of `--stats-json` output (its first
+/// occurrence).
+fn json_u64(json: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let at = json
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {json}"))
+        + pat.len();
+    json[at..]
+        .trim_start()
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{key} is not a number in {json}"))
+}
+
+/// Generates a data graph with the `generate` flags `gen` and extracts one
+/// query with the `query` flags `query`.
+fn inputs(dir: &std::path::Path, gen: &str, query: &str) -> (PathBuf, PathBuf) {
+    let data = dir.join("g.graph");
+    let out = cfl()
+        .arg("generate")
+        .args(gen.split_whitespace())
+        .arg("-o")
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = cfl()
+        .arg("query")
+        .arg(&data)
+        .args(query.split_whitespace())
+        .args(["--count", "1", "-o"])
+        .arg(dir.join("q"))
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    (dir.join("q-0.graph"), data)
+}
+
+fn stats_json(q: &PathBuf, data: &PathBuf, extra: &[&str]) -> String {
+    let out = cfl()
+        .arg("match")
+        .arg(q)
+        .arg(data)
+        .args(extra)
+        .arg("--stats-json")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// A default build records the trace: build timers, filter kills, and a
+/// core/forest/leaf node split that adds up to the search nodes.
+#[test]
+fn stats_json_reports_the_trace() {
+    let dir = tmpdir("stats-json");
+    let (q, data) = inputs(
+        &dir,
+        "--vertices 2000 --degree 6 --labels 6 --seed 3",
+        "--size 8 --seed 2",
+    );
+    let json = stats_json(&q, &data, &[]);
+    assert!(json.contains("\"topdown_ns\""), "{json}");
+    assert!(json.contains("\"nlf_kills\""), "{json}");
+    let split = json_u64(&json, "core_nodes")
+        + json_u64(&json, "forest_nodes")
+        + json_u64(&json, "leaf_nodes");
+    assert_eq!(split, json_u64(&json, "search_nodes"), "{json}");
+    assert!(split > 0, "{json}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--plan-cache --repeat 4`: one cold run, then three hits, no refusals.
+#[test]
+fn plan_cache_hits_surface_in_stats_json() {
+    let dir = tmpdir("plan-cache-stats");
+    let (q, data) = inputs(
+        &dir,
+        "--vertices 2000 --degree 6 --labels 8 --seed 7",
+        "--size 6 --seed 3",
+    );
+    let json = stats_json(
+        &q,
+        &data,
+        &["--plan-cache", "--repeat", "4", "--count-only"],
+    );
+    assert_eq!(json_u64(&json, "plan_lookups"), 4, "{json}");
+    assert_eq!(json_u64(&json, "plan_hits"), 3, "{json}");
+    assert_eq!(json_u64(&json, "plan_refusals"), 0, "{json}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Only CFL-Match records a trace: `--stats` on a baseline says so and
+/// still succeeds.
+#[test]
+fn baseline_stats_print_the_no_trace_hint() {
+    let dir = tmpdir("baseline-stats");
+    let (q, data) = small_inputs(&dir);
+    let out = cfl()
+        .arg("match")
+        .arg(&q)
+        .arg(&data)
+        .args(["--algorithm", "vf2", "--stats"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("baseline algorithms record no trace"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("--features"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -7,7 +7,7 @@
 //! the fingerprint comes from [`cfl_graph::canonical_query`] — equal for
 //! any two queries that are label-preserving isomorphic, regardless of
 //! vertex numbering. A hit hands back the frozen CPI arenas (`Arc`-shared,
-//! never copied), the matching order and the decomposition; the only
+//! never copied) and the matching order; the only
 //! per-hit work is composing the two canonical permutations so embeddings
 //! stream out indexed by the *caller's* vertex numbering.
 //!
@@ -45,7 +45,6 @@ use cfl_graph::{canonical_query, AppliedDelta, CanonicalQuery, Graph, VertexId};
 
 use crate::config::{CpiMode, DecompositionMode, MatchConfig, OrderStrategy};
 use crate::cpi::Cpi;
-use crate::decompose::CflDecomposition;
 use crate::exec::{root_eligible, Prepared};
 use crate::filters::{cand_verify_stats, FilterContext, FilterOptions, GraphStats};
 use crate::order::OrderPlan;
@@ -95,7 +94,6 @@ impl ConfigSig {
 pub(crate) struct CachedPlan {
     /// The query the plan was built for (owned clone; queries are tiny).
     pub(crate) q: Graph,
-    pub(crate) decomposition: CflDecomposition,
     pub(crate) cpi: Arc<Cpi>,
     pub(crate) plan: OrderPlan,
     pub(crate) stats: MatchStats,
@@ -618,11 +616,11 @@ pub(crate) fn peek(
 }
 
 /// Builds the cacheable snapshot of a preparation: `Arc`-shares the CPI,
-/// clones the small plan structures and the query itself.
+/// clones the order, the stats and the query itself (a hit enumerates
+/// from these alone, so the decomposition is not kept).
 pub(crate) fn cacheable_plan(q: &Graph, prepared: &Prepared, canon: &CanonicalQuery) -> CachedPlan {
     CachedPlan {
         q: q.clone(),
-        decomposition: prepared.decomposition.clone(),
         cpi: Arc::clone(&prepared.cpi),
         plan: prepared.plan.clone(),
         stats: prepared.stats.clone(),

@@ -113,23 +113,15 @@ impl Cpi {
             Some(cands) => topdown::top_down_seeded(ctx, root, cands),
             None => topdown::top_down(ctx, root),
         };
-        // Sub-phase wall clocks only exist under the trace feature; the
-        // default build keeps the exact straight-line phase sequence.
+        // One clock pair per construction phase, recorded as its timer.
         macro_rules! timed {
             ($counter:ident, $e:expr) => {{
-                #[cfg(feature = "trace")]
                 let t = std::time::Instant::now();
                 let r = $e;
-                ctx.rec(cfl_trace::BuildCounter::$counter, {
-                    #[cfg(feature = "trace")]
-                    {
-                        t.elapsed().as_nanos() as u64
-                    }
-                    #[cfg(not(feature = "trace"))]
-                    {
-                        0
-                    }
-                });
+                ctx.rec(
+                    cfl_trace::BuildCounter::$counter,
+                    t.elapsed().as_nanos() as u64,
+                );
                 r
             }};
         }
@@ -455,8 +447,7 @@ impl CpiBuilder {
     /// parent candidate, so removing orphans never deletes the downward
     /// support (Lemma 5.1) of any surviving candidate along tree edges.
     /// Returns the number of orphans killed (cold path; the count is two
-    /// adds per kill, so it is maintained unconditionally and reported by
-    /// the trace layer when enabled).
+    /// adds per kill, reported by the trace layer).
     pub(crate) fn prune_unreachable(&mut self) -> u64 {
         let mut total: u64 = 0;
         let order: Vec<VertexId> = self.tree.order().collect();

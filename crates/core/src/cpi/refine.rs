@@ -22,8 +22,7 @@ use crate::filters::FilterContext;
 
 /// Runs Algorithm 4 over a top-down builder, flipping alive flags. Returns
 /// the number of candidates killed (the refinement-effectiveness counter
-/// the trace layer reports; computing it is one integer add per kill, so
-/// it is returned unconditionally rather than feature-gated).
+/// the trace layer reports; computing it is one integer add per kill).
 pub(crate) fn bottom_up(ctx: &FilterContext<'_>, s: &mut CpiBuilder) -> u64 {
     // The alive bitmaps must stay parallel to the candidate arrays — the
     // flips below index both by the same position.

@@ -75,11 +75,9 @@ pub(crate) struct Enumerator<'a, 's, O: OrderingStrategy, P: PruningStrategy> {
     pub emitted: u64,
     pub nodes: u64,
     pub nt_checks: u64,
-    /// Hot-path trace counters (backtracks, depth histogram, core/forest
-    /// split, leaf time). Only present — and only bumped —
-    /// under the `trace` feature, so default builds keep the enumerator's
-    /// exact memory layout and instruction stream.
-    #[cfg(feature = "trace")]
+    /// Hot-path trace counters: the depth histogram (one slot per order
+    /// position, so a search node costs one indexed increment),
+    /// backtracks and leaf nodes.
     tr: cfl_trace::EnumCounters,
 
     max_embeddings: u64,
@@ -126,8 +124,7 @@ impl<'a, 's, O: OrderingStrategy, P: PruningStrategy> Enumerator<'a, 's, O, P> {
             emitted: 0,
             nodes: 0,
             nt_checks: 0,
-            #[cfg(feature = "trace")]
-            tr: cfl_trace::EnumCounters::default(),
+            tr: cfl_trace::EnumCounters::with_depths(plan.vertices.len()),
             max_embeddings: budget.max_embeddings.unwrap_or(u64::MAX),
             deadline,
             cancel: budget.cancel,
@@ -232,8 +229,7 @@ impl<'a, 's, O: OrderingStrategy, P: PruningStrategy> Enumerator<'a, 's, O, P> {
         cand_pos: u32,
     ) -> ControlFlow<Stop, bool> {
         self.nodes += 1;
-        #[cfg(feature = "trace")]
-        self.tr.bump_node(depth, self.plan.core_len);
+        self.tr.bump_node(depth);
         if self.out_of_time() {
             return ControlFlow::Break(Stop);
         }
@@ -287,10 +283,7 @@ impl<'a, 's, O: OrderingStrategy, P: PruningStrategy> Enumerator<'a, 's, O, P> {
         }
         self.visited.remove(v);
         self.mapping[u as usize] = UNMAPPED;
-        #[cfg(feature = "trace")]
-        {
-            self.tr.backtracks += 1;
-        }
+        self.tr.backtracks += 1;
         let skip = self
             .pruning
             .after_child(depth, u, self.emitted > emitted_before);
@@ -305,13 +298,7 @@ impl<'a, 's, O: OrderingStrategy, P: PruningStrategy> Enumerator<'a, 's, O, P> {
             return self.emit();
         }
         let mut leaf = std::mem::replace(&mut self.leaf, LeafPhase::new(0));
-        #[cfg(feature = "trace")]
-        let leaf_start = Instant::now();
         let r = leaf.run(self);
-        #[cfg(feature = "trace")]
-        {
-            self.tr.leaf_ns += leaf_start.elapsed().as_nanos() as u64;
-        }
         self.leaf = leaf;
         r
     }
@@ -352,10 +339,7 @@ impl<'a, 's, O: OrderingStrategy, P: PruningStrategy> Enumerator<'a, 's, O, P> {
     /// them in `leaf_nodes` rather than the depth histogram.
     pub(crate) fn bump_node(&mut self) -> ControlFlow<Stop> {
         self.nodes += 1;
-        #[cfg(feature = "trace")]
-        {
-            self.tr.leaf_nodes += 1;
-        }
+        self.tr.leaf_nodes += 1;
         if self.out_of_time() {
             return ControlFlow::Break(Stop);
         }
@@ -379,12 +363,13 @@ impl<'a, 's, O: OrderingStrategy, P: PruningStrategy> Enumerator<'a, 's, O, P> {
         self.plan
     }
 
-    /// Drains this enumerator's counters into a per-worker trace record.
-    #[cfg(feature = "trace")]
-    pub(crate) fn take_trace(&mut self) -> cfl_trace::WorkerTrace {
+    /// Drains this enumerator's counters into the run's enumeration
+    /// record, summing the core/forest split from the depth histogram.
+    pub(crate) fn take_trace(&mut self) -> cfl_trace::EnumTrace {
         let mut counters = std::mem::take(&mut self.tr);
         counters.backjumps += self.pruning.backjumps();
-        cfl_trace::WorkerTrace {
+        counters.split_depths(self.plan.core_len);
+        cfl_trace::EnumTrace {
             embeddings: self.emitted,
             nodes: self.nodes,
             nt_checks: self.nt_checks,

@@ -129,14 +129,10 @@ pub(crate) fn prepare_with(
     }
 
     let build_start = Instant::now();
-    #[cfg(feature = "trace")]
     let build_counters = cfl_trace::BuildCounters::default();
-    #[cfg(feature = "trace")]
-    let build_span = cfl_trace::span::enter(cfl_trace::span::Phase::Build);
     let q_stats = GraphStats::build(q);
-    let ctx = FilterContext::with_options(q, g, &q_stats, g_stats, config.filters);
-    #[cfg(feature = "trace")]
-    let ctx = ctx.with_trace(&build_counters);
+    let ctx = FilterContext::with_options(q, g, &q_stats, g_stats, config.filters)
+        .with_trace(&build_counters);
 
     // Root selection (§A.6): from the core when it exists, else anywhere.
     let eligible = root_eligible(q, config.decomposition);
@@ -145,32 +141,30 @@ pub(crate) fn prepare_with(
     let decomposition = CflDecomposition::compute(q, root, config.decomposition);
     let cpi = Arc::new(Cpi::build_seeded(&ctx, root, root_cands, config.cpi, 1));
     let build_time = build_start.elapsed();
-    #[cfg(feature = "trace")]
-    drop(build_span);
 
+    let mut build = build_counters.snapshot();
+    build.final_candidates = cpi.total_candidates();
+    // The top-down modes account every candidate exactly (final =
+    // seeded − Σ kills); the naive baseline records nothing.
+    build.accounting_exact = config.cpi != crate::config::CpiMode::Naive;
+    let trace = cfl_trace::TraceReport {
+        build,
+        cpi: cfl_trace::CpiMetrics {
+            arena_bytes: cpi.memory_bytes(),
+            total_candidates: cpi.total_candidates(),
+            total_edges: cpi.total_edges(),
+            candidates_per_vertex: cpi.candidate_counts(),
+        },
+        ..Default::default()
+    };
     let mut stats = MatchStats {
         build_time,
         cpi_candidates: cpi.total_candidates(),
         cpi_edges: cpi.total_edges(),
         cpi_bytes: cpi.memory_bytes(),
+        trace: Some(Box::new(trace)),
         ..Default::default()
     };
-    #[cfg(feature = "trace")]
-    {
-        let mut tr = Box::new(cfl_trace::TraceReport::default());
-        tr.build = build_counters.snapshot();
-        tr.build.final_candidates = cpi.total_candidates();
-        // The top-down modes account every candidate exactly (final =
-        // seeded − Σ kills); the naive baseline records nothing.
-        tr.build.accounting_exact = config.cpi != crate::config::CpiMode::Naive;
-        tr.cpi = cfl_trace::CpiMetrics {
-            arena_bytes: cpi.memory_bytes(),
-            total_candidates: cpi.total_candidates(),
-            total_edges: cpi.total_edges(),
-            candidates_per_vertex: cpi.candidate_counts(),
-        };
-        stats.trace = Some(tr);
-    }
 
     if cpi.has_empty_candidate_set() {
         let prepared = Prepared {
@@ -189,11 +183,7 @@ pub(crate) fn prepare_with(
     }
 
     let order_start = Instant::now();
-    #[cfg(feature = "trace")]
-    let order_span = cfl_trace::span::enter(cfl_trace::span::Phase::Order);
     let plan = compute_order_with(q, &cpi, &decomposition, config.order);
-    #[cfg(feature = "trace")]
-    drop(order_span);
     stats.ordering_time = order_start.elapsed();
 
     let prepared = Prepared {
@@ -207,45 +197,36 @@ pub(crate) fn prepare_with(
     Ok(prepared)
 }
 
-/// Runs the enumeration phase over an already-prepared query; called only
-/// by [`DataGraph`] sessions. Borrows the preparation (cloning its stats
-/// into the report) so a plan-cache hit can enumerate the same CPI
-/// repeatedly. Only `config`'s enumeration-side knobs (budget, ordering,
-/// pruning) are consulted: a preparation is strategy-independent, so the
-/// same `Prepared` can be raced under every strategy combination.
+/// Runs the enumeration phase over a prepared CPI and order; called only
+/// by [`DataGraph`] sessions. Takes the CPI and order by reference, so a
+/// plan-cache hit enumerates the cached ones in place, and `stats` (the
+/// preparation's) by value: the report carries them on. Only `config`'s
+/// enumeration-side knobs (budget, ordering, pruning) are consulted: a
+/// preparation is strategy-independent, so the same CPI and order can be
+/// raced under every strategy combination.
 pub(crate) fn enumerate_prepared(
     q: &Graph,
     g: &Graph,
-    prepared: &Prepared,
+    cpi: &Cpi,
+    plan: &OrderPlan,
+    mut stats: MatchStats,
     config: &MatchConfig,
     sink: SinkRef<'_>,
 ) -> MatchReport {
-    if prepared.provably_empty() {
+    if cpi.has_empty_candidate_set() {
         // Some candidate set is empty: zero embeddings, proven sound.
-        return MatchReport::empty(prepared.stats.clone());
+        return MatchReport::empty(stats);
     }
-    let Prepared {
-        cpi,
-        plan,
-        ref stats,
-        ..
-    } = prepared;
-    let mut stats = stats.clone();
 
     let enum_start = Instant::now();
-    #[cfg(feature = "trace")]
-    let enum_span = cfl_trace::span::enter(cfl_trace::span::Phase::Enumerate);
     dispatch_strategies!(config.order, config.pruning, O, P, {
         let mut enumerator = Enumerator::<O, P>::new(q, g, cpi, plan, config.budget.clone(), sink);
         let outcome = enumerator.run();
-        #[cfg(feature = "trace")]
-        drop(enum_span);
         stats.enumeration_time = enum_start.elapsed();
         stats.search_nodes = enumerator.nodes;
         stats.nt_checks = enumerator.nt_checks;
-        #[cfg(feature = "trace")]
         if let Some(tr) = stats.trace.as_mut() {
-            tr.workers.push(enumerator.take_trace());
+            tr.enumeration = enumerator.take_trace();
         }
 
         MatchReport {

@@ -71,17 +71,6 @@ impl Default for FilterOptions {
     }
 }
 
-/// Which CandVerify stage rejected a probe — only distinguished when the
-/// `trace` feature classifies kills; the plain [`FilterContext::cand_verify`]
-/// collapses all to `false`.
-#[cfg(feature = "trace")]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FilterStage {
-    Mnd,
-    LabelPair,
-    Nlf,
-}
-
 /// A CandVerify verdict with the stage that decided it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Verdict {
@@ -151,10 +140,8 @@ pub struct FilterContext<'a> {
     pub g_stats: &'a GraphStats,
     /// Enabled optional filters.
     pub options: FilterOptions,
-    /// Shared sink for construction-time pruning counters; populated by
-    /// `prepare` when tracing a run, `None` otherwise (and absent entirely
-    /// without the `trace` feature).
-    #[cfg(feature = "trace")]
+    /// Shared sink for construction-time pruning counters; attached by
+    /// `prepare`, `None` for contexts built outside it.
     pub(crate) build_trace: Option<&'a cfl_trace::BuildCounters>,
 }
 
@@ -183,14 +170,12 @@ impl<'a> FilterContext<'a> {
             q_stats,
             g_stats,
             options,
-            #[cfg(feature = "trace")]
             build_trace: None,
         }
     }
 
     /// Attaches a construction-counter sink: every kill the CPI build
     /// performs through this context is recorded into `counters`.
-    #[cfg(feature = "trace")]
     #[must_use]
     pub(crate) fn with_trace(mut self, counters: &'a cfl_trace::BuildCounters) -> Self {
         self.build_trace = Some(counters);
@@ -198,12 +183,8 @@ impl<'a> FilterContext<'a> {
     }
 
     /// Records `v` into build counter `c` when a trace sink is attached.
-    /// Compiles to nothing (arguments discarded) without the `trace`
-    /// feature — call sites stay branch-free on default builds.
-    #[inline(always)]
-    #[allow(clippy::inline_always, unused_variables)]
+    #[inline]
     pub(crate) fn rec(&self, c: cfl_trace::BuildCounter, v: u64) {
-        #[cfg(feature = "trace")]
         if let Some(t) = self.build_trace {
             t.add(c, v);
         }
@@ -231,57 +212,29 @@ impl<'a> FilterContext<'a> {
         cand_verify_stats(self.q_stats, self.g_stats, self.options, v, u).passed
     }
 
-    /// Like [`cand_verify`](Self::cand_verify) but reporting *which* stage
-    /// rejected the probe. Trace-only: the stage split exists so kill
-    /// counters can attribute prunes to the MND vs. NLF filter. The keep
-    /// decision is `result.is_ok()`, and the verdict comes from the same
-    /// [`cand_verify_stats`], so classification never changes which
-    /// candidates survive.
-    #[cfg(feature = "trace")]
-    fn cand_verify_stage(&self, v: VertexId, u: VertexId) -> Result<(), FilterStage> {
-        match cand_verify_stats(self.q_stats, self.g_stats, self.options, v, u) {
-            Verdict { passed: true, .. } => Ok(()),
-            Verdict {
-                failed_at_mnd: true,
-                ..
-            } => Err(FilterStage::Mnd),
-            Verdict {
-                failed_at_lp: true, ..
-            } => Err(FilterStage::LabelPair),
-            _ => Err(FilterStage::Nlf),
-        }
-    }
-
-    /// `list.retain(|&v| self.cand_verify(v, u))`, with per-stage kill
-    /// counting when a trace sink is attached. Without the `trace` feature
-    /// this compiles to exactly the plain retain.
+    /// `list.retain(|&v| self.cand_verify(v, u))`, attributing each kill
+    /// to the CandVerify stage whose [`Verdict`] rejected it (MND,
+    /// label-pair or NLF) and recording the three counts once per list.
+    /// The keep decision is the verdict's `passed`, so counting never
+    /// changes which candidates survive.
     pub(crate) fn retain_verified(&self, list: &mut Vec<VertexId>, u: VertexId) {
-        #[cfg(feature = "trace")]
-        if let Some(t) = self.build_trace {
-            let mut mnd: u64 = 0;
-            let mut lp: u64 = 0;
-            let mut nlf: u64 = 0;
-            list.retain(|&v| match self.cand_verify_stage(v, u) {
-                Ok(()) => true,
-                Err(FilterStage::Mnd) => {
+        let (mut mnd, mut lp, mut nlf) = (0u64, 0u64, 0u64);
+        list.retain(|&v| {
+            let verdict = cand_verify_stats(self.q_stats, self.g_stats, self.options, v, u);
+            if !verdict.passed {
+                if verdict.failed_at_mnd {
                     mnd += 1;
-                    false
-                }
-                Err(FilterStage::LabelPair) => {
+                } else if verdict.failed_at_lp {
                     lp += 1;
-                    false
-                }
-                Err(FilterStage::Nlf) => {
+                } else {
                     nlf += 1;
-                    false
                 }
-            });
-            t.add(cfl_trace::BuildCounter::MndKills, mnd);
-            t.add(cfl_trace::BuildCounter::LabelPairKills, lp);
-            t.add(cfl_trace::BuildCounter::NlfKills, nlf);
-            return;
-        }
-        list.retain(|&v| self.cand_verify(v, u));
+            }
+            verdict.passed
+        });
+        self.rec(cfl_trace::BuildCounter::MndKills, mnd);
+        self.rec(cfl_trace::BuildCounter::LabelPairKills, lp);
+        self.rec(cfl_trace::BuildCounter::NlfKills, nlf);
     }
 
     /// Full candidate test: label, degree, MND, NLF.
@@ -444,7 +397,6 @@ mod tests {
         assert_eq!(ctx.label_frequency(Label(0)), 3);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn retain_verified_matches_cand_verify_and_counts_kills() {
         let (q, g) = ctx_graphs();

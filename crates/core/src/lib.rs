@@ -76,8 +76,8 @@ pub use serve::{Engine, EngineConfig, QueryEvent, QueryHandle, QuerySpec, Server
 
 // Observability types (`cfl-trace`) surface on `MatchStats::trace`;
 // re-exported so downstream crates can consume reports without naming the
-// leaf crate. Populated only under the `trace` feature.
-pub use cfl_trace::{BuildTrace, CpiMetrics, TraceReport, WorkerTrace};
+// leaf crate. Every CFL-Match run fills them.
+pub use cfl_trace::{BuildTrace, CpiMetrics, EnumTrace, TraceReport};
 pub use root::{select_root, select_root_with_candidates};
 pub use session::DataGraph;
 pub use validate::verify_prepared;

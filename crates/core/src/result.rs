@@ -144,9 +144,8 @@ pub struct MatchStats {
     /// Number of non-tree edge checks probed against `G`.
     pub nt_checks: u64,
     /// Detailed observability report (phase timers, per-filter pruning
-    /// counters, per-worker enumeration statistics). Filled only when the
-    /// `trace` cargo feature is enabled; always `None` otherwise, so the
-    /// field costs one pointer-sized slot and no work in default builds.
+    /// counters, enumeration statistics). `Some` on every CFL-Match run;
+    /// `None` for the baseline algorithms, which record nothing.
     pub trace: Option<Box<cfl_trace::TraceReport>>,
 }
 

@@ -128,70 +128,51 @@ impl<'g> DataGraph<'g> {
     /// Runs a query end to end through the cache-aware path. On a hit the
     /// enumeration walks the cached CPI in the cached query's numbering
     /// and each embedding is remapped into the caller's before it reaches
-    /// the sink, so results are indistinguishable from a cold run. When
-    /// the `trace` feature is on and a plan cache is attached, the cache's
-    /// counter snapshot is copied into the report's trace so
-    /// `--stats`/`--stats-json` surface it.
+    /// the sink, so results are indistinguishable from a cold run. The
+    /// report's trace leaves the plan-cache counters at zero: a caller
+    /// that wants them reads [`plan_cache`](Self::plan_cache)'s snapshot,
+    /// which takes the cache's mutex.
     fn run(
         &self,
         q: &Graph,
         config: &MatchConfig,
         sink: SinkRef<'_>,
     ) -> Result<MatchReport, Error> {
-        #[allow(unused_mut)]
-        let mut report = self.run_inner(q, config, sink)?;
-        #[cfg(feature = "trace")]
-        if let (Some(cache), Some(trace)) = (&self.cache, report.stats.trace.as_deref_mut()) {
-            trace.cache = cache.snapshot().into();
-        }
-        Ok(report)
-    }
-
-    fn run_inner(
-        &self,
-        q: &Graph,
-        config: &MatchConfig,
-        sink: SinkRef<'_>,
-    ) -> Result<MatchReport, Error> {
         match self.plan(q, config)? {
-            Planned::Cold(prepared) => Ok(crate::exec::enumerate_prepared(
-                q, self.graph, &prepared, config, sink,
-            )),
+            Planned::Cold(prepared) => {
+                let Prepared {
+                    cpi, plan, stats, ..
+                } = *prepared;
+                Ok(crate::exec::enumerate_prepared(
+                    q, self.graph, &cpi, &plan, stats, config, sink,
+                ))
+            }
             Planned::Hit {
                 plan,
                 remap,
                 lookup_time,
             } => {
-                let mut prepared = Prepared {
-                    decomposition: plan.decomposition.clone(),
-                    cpi: Arc::clone(&plan.cpi),
-                    plan: plan.plan.clone(),
-                    stats: plan.stats.clone(),
-                };
+                let mut stats = plan.stats.clone();
                 // The run's "build" cost is the lookup, not the original
                 // construction the cached stats remember.
-                prepared.stats.build_time = lookup_time;
-                Ok(match sink {
-                    None => crate::exec::enumerate_prepared(
-                        &plan.q, self.graph, &prepared, config, None,
-                    ),
+                stats.build_time = lookup_time;
+                let mut remapped;
+                let sink: SinkRef<'_> = match sink {
+                    None => None,
                     Some(s) => {
                         let mut buf = vec![0 as VertexId; remap.len()];
-                        let mut remapped = |emb: &[VertexId]| {
+                        remapped = move |emb: &[VertexId]| {
                             for (slot, &c) in buf.iter_mut().zip(remap.iter()) {
                                 *slot = emb[c as usize];
                             }
                             s(&buf)
                         };
-                        crate::exec::enumerate_prepared(
-                            &plan.q,
-                            self.graph,
-                            &prepared,
-                            config,
-                            Some(&mut remapped),
-                        )
+                        Some(&mut remapped)
                     }
-                })
+                };
+                Ok(crate::exec::enumerate_prepared(
+                    &plan.q, self.graph, &plan.cpi, &plan.plan, stats, config, sink,
+                ))
             }
         }
     }

@@ -1,16 +1,14 @@
 //! # cfl-trace
 //!
 //! Observability types for the CFL-Match engine: phase timers, pruning
-//! counters, per-worker enumeration statistics, and the [`TraceReport`]
-//! the engine attaches to a `MatchReport` when its `trace` cargo feature
-//! is enabled.
+//! counters, enumeration statistics, and the [`TraceReport`] the engine
+//! attaches to every CFL-Match run's `MatchReport`.
 //!
-//! The crate itself is featureless and always compiled — it only defines
-//! plain data types plus two renderers ([`TraceReport::render_table`] and
-//! [`TraceReport::to_json`]) and a minimal span-subscriber hook
-//! ([`span`]). Whether any of it is *filled in* is decided by the engine's
-//! `trace` feature: with the feature off every recording call in the hot
-//! path compiles to nothing and a run's `stats.trace` stays `None`.
+//! The crate defines plain data types plus two renderers
+//! ([`TraceReport::render_table`] and [`TraceReport::to_json`]). The
+//! engine always records: clocks are read only at phase boundaries, and
+//! the search pays one indexed increment per node (the depth histogram),
+//! so there is no separate instrumented build.
 //!
 //! Counters follow the paper's pipeline (see `docs/OBSERVABILITY.md` in
 //! the repository root for the full catalog with paper anchors):
@@ -20,9 +18,9 @@
 //!   Algorithm 4, unreachable pruning, freeze) and candidate kills per
 //!   filter (adjacency/Lemma 5.1, MND/Lemma A.1, NLF, S-NTE, refinement,
 //!   orphan pruning).
-//! * [`EnumCounters`] / [`WorkerTrace`] — enumeration (§4.2.2–§4.4):
-//!   per-worker embeddings, backtracks, backjumps, core/forest node
-//!   splits, leaf-phase time and a partial-match depth histogram.
+//! * [`EnumCounters`] / [`EnumTrace`] — enumeration (§4.2.2–§4.4):
+//!   embeddings, backtracks, backjumps, core/forest/leaf node splits and
+//!   a partial-match depth histogram.
 //! * [`CpiMetrics`] — index size (§4.1, Figure 16(d)): arena bytes and
 //!   candidates per query vertex.
 
@@ -30,11 +28,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub mod span;
-
 /// Names one cell of [`BuildCounters`]. The engine records through this
-/// enum so its call sites stay one-liners that compile out with the
-/// feature.
+/// enum so its call sites stay one-liners.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BuildCounter {
     /// Candidates that entered a candidate list after the label/degree
@@ -188,9 +183,9 @@ impl BuildTrace {
     }
 }
 
-/// Plan-cache counters (always kept by the cache, so these fill even
-/// without the `trace` feature when the caller copies a `PlanCache`
-/// snapshot in). `plan_lookups = plan_hits + plan_misses` and
+/// Plan-cache counters (kept by the cache under its mutex; a caller that
+/// holds the cache copies a `PlanCache` snapshot in).
+/// `plan_lookups = plan_hits + plan_misses` and
 /// `plan_evictions + plan_refusals ≤ plan_misses` are accounting
 /// identities `cfl_verify::check_trace` and `check_serve_trace` re-check.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -256,9 +251,9 @@ pub struct CpiMetrics {
     pub candidates_per_vertex: Vec<u32>,
 }
 
-/// Per-enumerator counters, bumped on the search hot path (only when the
-/// engine's `trace` feature is on; the struct exists regardless so the
-/// enumerator's shape does not change with the feature).
+/// Enumeration counters, bumped on the search hot path. Only the depth
+/// histogram is touched per ordered search node; the core/forest split is
+/// summed from it once, when the enumerator's counters are drained.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EnumCounters {
     /// Retreats from a mapped vertex (each successful mapping is unwound
@@ -276,70 +271,74 @@ pub struct EnumCounters {
     /// Search nodes attempted inside the leaf phase (§4.4) — leaf
     /// assignments sit outside the matching order, so they are counted
     /// here rather than in [`EnumCounters::depth_hist`]. The three splits
-    /// partition the worker's total:
+    /// partition the run's total:
     /// `core_nodes + forest_nodes + leaf_nodes == nodes`.
     pub leaf_nodes: u64,
-    /// Nanoseconds inside the leaf phase (§4.4).
-    pub leaf_ns: u64,
     /// `depth_hist[d]` = search nodes attempted at partial-match depth
-    /// `d` (matching-order position); sums to
-    /// `core_nodes + forest_nodes`.
+    /// `d` (matching-order position), one slot per order position; sums
+    /// to `core_nodes + forest_nodes`.
     pub depth_hist: Vec<u64>,
 }
 
 impl EnumCounters {
-    /// Bumps the depth histogram (growing it on demand) and the
-    /// core/forest split for one attempted search node.
+    /// Zeroed counters with one histogram slot per matching-order
+    /// position, so [`bump_node`](Self::bump_node) never resizes.
+    #[must_use]
+    pub fn with_depths(depths: usize) -> Self {
+        EnumCounters {
+            depth_hist: vec![0; depths],
+            ..Self::default()
+        }
+    }
+
+    /// Counts one search node attempted at order position `depth`
+    /// (`depth` must be below the size given to
+    /// [`with_depths`](Self::with_depths)).
     #[inline]
-    pub fn bump_node(&mut self, depth: usize, core_len: usize) {
-        if self.depth_hist.len() <= depth {
-            self.depth_hist.resize(depth + 1, 0);
-        }
+    pub fn bump_node(&mut self, depth: usize) {
         self.depth_hist[depth] += 1;
-        if depth < core_len {
-            self.core_nodes += 1;
-        } else {
-            self.forest_nodes += 1;
-        }
+    }
+
+    /// Fills the core/forest split from the depth histogram: positions
+    /// below `core_len` are core depths, the rest forest depths.
+    pub fn split_depths(&mut self, core_len: usize) {
+        let core = core_len.min(self.depth_hist.len());
+        self.core_nodes = self.depth_hist[..core].iter().sum();
+        self.forest_nodes = self.depth_hist[core..].iter().sum();
     }
 }
 
-/// One enumeration worker's final tally (a single-threaded run reports
-/// exactly one of these).
+/// The enumerator's final tally for one run. Zero throughout when a
+/// provably empty preparation skips enumeration.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorkerTrace {
-    /// Embeddings this worker emitted.
+pub struct EnumTrace {
+    /// Embeddings the enumerator emitted.
     pub embeddings: u64,
-    /// Search nodes this worker attempted.
+    /// Search nodes the enumerator attempted.
     pub nodes: u64,
-    /// Non-tree edge checks this worker probed.
+    /// Non-tree edge checks the enumerator probed.
     pub nt_checks: u64,
     /// Hot-path counters (backtracks, backjumps, depth histogram, …).
     pub counters: EnumCounters,
 }
 
-/// Everything the `trace` feature records for one matching run. Attached
-/// to `MatchStats::trace` as `Some(Box<TraceReport>)`; `None` whenever the
-/// feature is off.
+/// Everything the engine records for one CFL-Match run. Attached to
+/// `MatchStats::trace` as `Some(Box<TraceReport>)`; baseline algorithms
+/// leave it `None`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceReport {
     /// CPI-construction timers and per-filter kill counters.
     pub build: BuildTrace,
     /// Frozen-index size metrics.
     pub cpi: CpiMetrics,
-    /// Plan-cache counters (zero when the run used no plan cache).
+    /// Plan-cache counters (zero unless the caller copied a cache
+    /// snapshot in).
     pub cache: CacheTrace,
-    /// One entry per enumeration worker.
-    pub workers: Vec<WorkerTrace>,
+    /// The enumeration record.
+    pub enumeration: EnumTrace,
 }
 
 impl TraceReport {
-    /// Sum of per-worker emitted embeddings.
-    #[must_use]
-    pub fn total_worker_embeddings(&self) -> u64 {
-        self.workers.iter().map(|w| w.embeddings).sum()
-    }
-
     /// Renders the report as an aligned human-readable table (the
     /// `--stats` form of the CLI).
     #[must_use]
@@ -363,8 +362,6 @@ impl TraceReport {
             "  arena freeze        {:>10.3}\n",
             ms(self.build.freeze_ns)
         ));
-        let leaf_ns: u64 = self.workers.iter().map(|w| w.counters.leaf_ns).sum();
-        out.push_str(&format!("  leaf match (Σ)      {:>10.3}\n", ms(leaf_ns)));
         out.push_str("candidate filtering\n");
         out.push_str(&format!(
             "  seeded              {:>10}\n",
@@ -446,19 +443,18 @@ impl TraceReport {
             "  adjacency entries   {:>10}\n",
             self.cpi.total_edges
         ));
-        out.push_str(&format!("workers ({})\n", self.workers.len()));
-        for (i, w) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "  #{i}: embeddings {} nodes {} backtracks {} backjumps {} core {} forest {} leaf {}\n",
-                w.embeddings,
-                w.nodes,
-                w.counters.backtracks,
-                w.counters.backjumps,
-                w.counters.core_nodes,
-                w.counters.forest_nodes,
-                w.counters.leaf_nodes,
-            ));
-        }
+        let e = &self.enumeration;
+        out.push_str("enumeration\n");
+        out.push_str(&format!(
+            "  embeddings {} nodes {} backtracks {} backjumps {} core {} forest {} leaf {}\n",
+            e.embeddings,
+            e.nodes,
+            e.counters.backtracks,
+            e.counters.backjumps,
+            e.counters.core_nodes,
+            e.counters.forest_nodes,
+            e.counters.leaf_nodes,
+        ));
         out
     }
 
@@ -497,26 +493,19 @@ impl TraceReport {
             json_u32_array(&self.cpi.candidates_per_vertex)
         ));
         s.push_str(&format!("  \"cache\": {{{}}},\n", self.cache.json_fields()));
-        s.push_str("  \"workers\": [");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"embeddings\": {}, \"nodes\": {}, \"nt_checks\": {}, \"backtracks\": {}, \"backjumps\": {}, \"core_nodes\": {}, \"forest_nodes\": {}, \"leaf_nodes\": {}, \"leaf_ns\": {}, \"depth_hist\": {}}}",
-                w.embeddings,
-                w.nodes,
-                w.nt_checks,
-                w.counters.backtracks,
-                w.counters.backjumps,
-                w.counters.core_nodes,
-                w.counters.forest_nodes,
-                w.counters.leaf_nodes,
-                w.counters.leaf_ns,
-                json_u64_array(&w.counters.depth_hist)
-            ));
-        }
-        s.push_str("]\n}");
+        let e = &self.enumeration;
+        s.push_str(&format!(
+            "  \"enumeration\": {{\"embeddings\": {}, \"nodes\": {}, \"nt_checks\": {}, \"backtracks\": {}, \"backjumps\": {}, \"core_nodes\": {}, \"forest_nodes\": {}, \"leaf_nodes\": {}, \"depth_hist\": {}}}\n}}",
+            e.embeddings,
+            e.nodes,
+            e.nt_checks,
+            e.counters.backtracks,
+            e.counters.backjumps,
+            e.counters.core_nodes,
+            e.counters.forest_nodes,
+            e.counters.leaf_nodes,
+            json_u64_array(&e.counters.depth_hist)
+        ));
         s
     }
 }
@@ -681,7 +670,7 @@ mod tests {
                 plan_refusals: 1,
                 plan_refreshes: 2,
             },
-            workers: vec![WorkerTrace {
+            enumeration: EnumTrace {
                 embeddings: 7,
                 nodes: 40,
                 nt_checks: 12,
@@ -691,10 +680,9 @@ mod tests {
                     core_nodes: 25,
                     forest_nodes: 10,
                     leaf_nodes: 5,
-                    leaf_ns: 500,
                     depth_hist: vec![20, 10, 5],
                 },
-            }],
+            },
         }
     }
 
@@ -721,14 +709,18 @@ mod tests {
     }
 
     #[test]
-    fn depth_histogram_grows_on_demand() {
-        let mut c = EnumCounters::default();
-        c.bump_node(0, 2);
-        c.bump_node(3, 2);
-        c.bump_node(3, 2);
+    fn depth_histogram_is_presized_and_splits_at_the_core() {
+        let mut c = EnumCounters::with_depths(4);
+        c.bump_node(0);
+        c.bump_node(3);
+        c.bump_node(3);
         assert_eq!(c.depth_hist, vec![1, 0, 0, 2]);
+        c.split_depths(2);
         assert_eq!(c.core_nodes, 1);
         assert_eq!(c.forest_nodes, 2);
+        // A core spanning the whole order leaves no forest nodes.
+        c.split_depths(9);
+        assert_eq!((c.core_nodes, c.forest_nodes), (3, 0));
     }
 
     #[test]
@@ -742,7 +734,7 @@ mod tests {
             "\"accounting_exact\": true",
             "\"cpi\"",
             "\"candidates_per_vertex\": [20, 25, 15]",
-            "\"workers\"",
+            "\"enumeration\": {\"embeddings\": 7",
             "\"leaf_nodes\": 5",
             "\"backjumps\": 2",
             "\"depth_hist\": [20, 10, 5]",
@@ -762,7 +754,7 @@ mod tests {
         assert!(t.contains("seeded"));
         assert!(t.contains("100"));
         assert!(t.contains("(= seeded − kills)"));
-        assert!(t.contains("workers (1)"));
+        assert!(t.contains("enumeration"));
         assert!(t.contains("embeddings 7 nodes 40"));
     }
 
@@ -824,15 +816,5 @@ mod tests {
         assert!(t.contains("serving counters"));
         assert!(t.contains("deadline expired"));
         assert!(t.contains("300"));
-    }
-
-    #[test]
-    fn worker_embedding_sum() {
-        let mut r = sample();
-        r.workers.push(WorkerTrace {
-            embeddings: 3,
-            ..Default::default()
-        });
-        assert_eq!(r.total_worker_embeddings(), 10);
     }
 }

@@ -20,8 +20,7 @@
 //! the [`CpiView`] trait, which `cfl-match` implements for its `Cpi`
 //! behind the `validate` feature. [`check_trace`] closes the loop on the
 //! observability layer, re-verifying the arithmetic identities between
-//! the pruning counters that `cfl-match` records under its `trace`
-//! feature.
+//! the counters that `cfl-match` records on every run.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

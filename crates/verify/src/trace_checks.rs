@@ -1,17 +1,17 @@
 //! Consistency checks over an observability [`TraceReport`].
 //!
-//! The `trace` feature of `cfl-match` records filter-effectiveness
-//! counters while the CPI is built and per-worker counters while
-//! embeddings are enumerated. Those counters obey arithmetic identities
-//! by construction — every candidate that reaches the final CPI was
-//! seeded and never killed, every search node lands in exactly one depth
-//! bucket, and worker embedding tallies partition the reported total.
+//! `cfl-match` records filter-effectiveness counters while the CPI is
+//! built and enumeration counters while embeddings are enumerated. Those
+//! counters obey arithmetic identities by construction — every candidate
+//! that reaches the final CPI was seeded and never killed, every search
+//! node lands in exactly one of the core, forest and leaf splits, and the
+//! enumeration record's embedding tally is the reported total.
 //! This checker re-verifies the identities from the report alone, so a
 //! bookkeeping bug in the instrumentation (a filter that kills without
 //! recording, a counter bumped twice) is caught even though the engine's
 //! results are unaffected by tracing.
 
-use cfl_trace::{CacheTrace, TraceReport, WorkerTrace};
+use cfl_trace::{CacheTrace, EnumTrace, TraceReport};
 
 use crate::report::Report;
 
@@ -28,12 +28,15 @@ use crate::report::Report;
 /// - `trace-cpi-candidates`: the CPI metrics' per-vertex candidate
 ///   counts sum to `total_candidates`.
 /// - `trace-worker-embeddings`: when the caller passes the engine's
-///   reported embedding total, the per-worker embedding counts sum to it.
-/// - `trace-worker-nodes`: per worker, the depth histogram sums to the
-///   worker's search-node count, and the core/forest split partitions it.
-/// - `trace-backjump-bound`: per worker, failing-set backjump decisions
-///   never exceed backtracks — a backjump is only taken after the unwind
-///   of a mapped child, and each unwind records one backtrack.
+///   reported embedding total, the enumeration record's embedding count
+///   equals it.
+/// - `trace-worker-nodes`: the depth histogram sums to the core + forest
+///   nodes, and core + forest + leaf nodes equal the search-node count.
+///   The leaf and total counts are bumped independently of the
+///   histogram, so the second identity is a real cross-check.
+/// - `trace-backjump-bound`: failing-set backjump decisions never exceed
+///   backtracks — a backjump is only taken after the unwind of a mapped
+///   child, and each unwind records one backtrack.
 /// - `trace-cache-accounting`: every plan-cache consultation resolves to
 ///   exactly one of hit or miss (`plan_lookups == plan_hits +
 ///   plan_misses`), and evictions plus refusals never exceed the
@@ -42,10 +45,9 @@ use crate::report::Report;
 ///
 /// `total_embeddings` is the embedding count from the engine's
 /// `MatchReport` when available; pass `None` for reports captured before
-/// enumeration (the worker checks still run on whatever workers exist).
-/// The sum identity holds for every outcome, capped runs included: one
-/// enumerator runs each query, and it clamps its emitted count to the
-/// embedding cap exactly.
+/// enumeration (the node checks still run). The embedding identity holds
+/// for every outcome, capped runs included: one enumerator runs each
+/// query, and it clamps its emitted count to the embedding cap exactly.
 #[must_use]
 pub fn check_trace(report: &TraceReport, total_embeddings: Option<u64>) -> Report {
     let mut out = Report::new();
@@ -101,26 +103,25 @@ pub fn check_trace(report: &TraceReport, total_embeddings: Option<u64>) -> Repor
 
     check_cache(&mut out, "trace-cache-accounting", &report.cache);
 
+    let e = &report.enumeration;
     if let Some(total) = total_embeddings {
-        let worker_sum = report.total_worker_embeddings();
-        if worker_sum != total {
+        if e.embeddings != total {
             out.violation(
                 "trace-worker-embeddings",
                 None,
                 None,
-                format!("worker embedding counts sum to {worker_sum}, engine reported {total}"),
+                format!(
+                    "enumeration record counts {} embeddings, engine reported {total}",
+                    e.embeddings
+                ),
             );
         }
     }
-
-    for (i, w) in report.workers.iter().enumerate() {
-        check_worker(&mut out, i, w);
-    }
-
+    check_enumeration(&mut out, e);
     out
 }
 
-fn check_worker(out: &mut Report, index: usize, w: &WorkerTrace) {
+fn check_enumeration(out: &mut Report, w: &EnumTrace) {
     let ordered = w.counters.core_nodes + w.counters.forest_nodes;
     let hist_sum: u64 = w.counters.depth_hist.iter().sum();
     if hist_sum != ordered {
@@ -129,7 +130,7 @@ fn check_worker(out: &mut Report, index: usize, w: &WorkerTrace) {
             None,
             None,
             format!(
-                "worker {index}: depth histogram sums to {hist_sum} but \
+                "depth histogram sums to {hist_sum} but \
                  core {} + forest {} nodes = {ordered}",
                 w.counters.core_nodes, w.counters.forest_nodes
             ),
@@ -142,7 +143,7 @@ fn check_worker(out: &mut Report, index: usize, w: &WorkerTrace) {
             None,
             None,
             format!(
-                "worker {index}: core {} + forest {} + leaf {} nodes != total {}",
+                "core {} + forest {} + leaf {} nodes != total {}",
                 w.counters.core_nodes, w.counters.forest_nodes, w.counters.leaf_nodes, w.nodes
             ),
         );
@@ -153,7 +154,7 @@ fn check_worker(out: &mut Report, index: usize, w: &WorkerTrace) {
             None,
             None,
             format!(
-                "worker {index}: {} failing-set backjumps but only {} backtracks \
+                "{} failing-set backjumps but only {} backtracks \
                  (a backjump decision follows the unwind of a mapped child)",
                 w.counters.backjumps, w.counters.backtracks
             ),
@@ -279,7 +280,7 @@ mod tests {
     use cfl_trace::{BuildTrace, CpiMetrics, EnumCounters};
 
     fn consistent_report() -> TraceReport {
-        let mut r = TraceReport {
+        TraceReport {
             build: BuildTrace {
                 seeded: 100,
                 adjacency_kills: 20,
@@ -306,23 +307,20 @@ mod tests {
                 plan_refusals: 1,
                 plan_refreshes: 1,
             },
-            ..TraceReport::default()
-        };
-        r.workers.push(WorkerTrace {
-            embeddings: 7,
-            nodes: 12,
-            nt_checks: 4,
-            counters: EnumCounters {
-                backtracks: 12,
-                backjumps: 2,
-                core_nodes: 8,
-                forest_nodes: 4,
-                leaf_nodes: 0,
-                leaf_ns: 0,
-                depth_hist: vec![5, 4, 3],
+            enumeration: EnumTrace {
+                embeddings: 7,
+                nodes: 12,
+                nt_checks: 4,
+                counters: EnumCounters {
+                    backtracks: 12,
+                    backjumps: 2,
+                    core_nodes: 8,
+                    forest_nodes: 4,
+                    leaf_nodes: 0,
+                    depth_hist: vec![5, 4, 3],
+                },
             },
-        });
-        r
+        }
     }
 
     #[test]
@@ -368,7 +366,7 @@ mod tests {
     #[test]
     fn worker_histogram_checked() {
         let mut r = consistent_report();
-        r.workers[0].counters.depth_hist = vec![5, 4, 2];
+        r.enumeration.counters.depth_hist = vec![5, 4, 2];
         let checked = check_trace(&r, Some(7));
         assert!(checked.has_check("trace-worker-nodes"), "{checked}");
     }
@@ -376,7 +374,7 @@ mod tests {
     #[test]
     fn backjump_bound_checked() {
         let mut r = consistent_report();
-        r.workers[0].counters.backjumps = 13;
+        r.enumeration.counters.backjumps = 13;
         let checked = check_trace(&r, Some(7));
         assert!(checked.has_check("trace-backjump-bound"), "{checked}");
     }
